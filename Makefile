@@ -37,10 +37,18 @@ alloc-check:
 # restore, run to completion — results, latencies, counters and flit
 # events byte-equal to the straight-through run for every
 # architecture, with faults and metrics on, in-process and across a
-# process boundary, plus corruption rejection and the mid-hold cut.
+# process boundary and across worker counts, plus corruption
+# rejection and the mid-hold cut. Format v3 carries no dead state:
+# checkpoint bytes per idle router stay under a ceiling
+# (TestSnapshotBytesTrackLiveState), live-only control-table rings
+# round-trip across the ring wrap, and in-place RNG advance matches a
+# reseeded restore.
 snapshot-check:
 	$(GO) test . -run 'TestSnapshot|TestRestore|TestRunCheckpointed' -count=1
 	$(GO) test ./internal/network/ -run 'TestSnapshot' -count=1
+	$(GO) test ./internal/core/ -run 'TestUBSSaveLoadWrappedRings|TestTableLoadRejectsCorruptRegisters' -count=1
+	$(GO) test ./internal/rng/ ./internal/traffic/ -run 'TestAdvanceMatchesRestore|TestRepositionPaths|TestLoadStateStreamPaths|TestGeneratorStateRoundTrip' -count=1
+	$(GO) test ./internal/snap/ -count=1
 	$(GO) test ./experiments/ -run 'TestBranchSweep' -count=1
 
 test:

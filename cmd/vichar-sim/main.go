@@ -173,6 +173,8 @@ func main() {
 				o.WarmupPackets = warmup
 			case "measure":
 				o.MeasurePackets = measure
+			case "workers":
+				o.Workers = workers
 			}
 		})
 		if sim, err = vichar.RestoreWith(blob, o); err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"vichar/internal/buffers"
 	"vichar/internal/flit"
+	"vichar/internal/snap"
 )
 
 // --- Tracker (Slot / VC Availability Tracker) ---
@@ -439,5 +441,194 @@ func TestUBSConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// --- Checkpoint (format v3: live-only control-table rings) ---
+
+// ubsHarness drives a UBS with single-flit packets and resolves the
+// flit references of its snapshots.
+type ubsHarness struct {
+	b    *UBS
+	pkts map[uint64]*flit.Packet
+	now  int64
+}
+
+func newUBSHarness(slots int) *ubsHarness {
+	return &ubsHarness{b: NewUBS(slots), pkts: map[uint64]*flit.Packet{}, now: 1}
+}
+
+// write steers a fresh one-flit packet with the given ID onto vc.
+func (h *ubsHarness) write(t *testing.T, id uint64, vc int) {
+	t.Helper()
+	p := &flit.Packet{ID: id, Size: 1}
+	h.pkts[id] = p
+	f := flit.MakeFlits(p)[0]
+	f.VC = vc
+	if err := h.b.Write(f, h.now); err != nil {
+		t.Fatalf("write packet %d to vc %d: %v", id, vc, err)
+	}
+	h.now++
+}
+
+// pop dequeues vc's head flit and returns its packet ID and the slot
+// it left.
+func (h *ubsHarness) pop(t *testing.T, vc int) (id uint64, slot int) {
+	t.Helper()
+	slot = h.b.table.Head(vc)
+	f, err := h.b.Pop(vc, h.now)
+	if err != nil {
+		t.Fatalf("pop vc %d: %v", vc, err)
+	}
+	h.now++
+	return f.Pkt.ID, slot
+}
+
+func (h *ubsHarness) resolve(id uint64, seq int) (*flit.Flit, error) {
+	p, ok := h.pkts[id]
+	if !ok || seq != 0 {
+		return nil, errors.New("unknown flit")
+	}
+	return flit.MakeFlits(p)[0], nil
+}
+
+func saveUBS(b *UBS) []byte {
+	w := snap.NewWriter()
+	b.SaveState(w)
+	return w.Finish()
+}
+
+// TestUBSSaveLoadWrappedRings round-trips a unified buffer whose
+// control-table rows wrap across the ring end (head at stride-1, live
+// entries spanning the wrap), with an emptied row whose head has
+// moved, a row never used, and the pool partly occupied. The restored
+// buffer must hold the same registers and live entries at the same
+// ring positions, re-save byte-equal, and hand out the same slots as
+// the original under an identical Write/Pop sequence.
+func TestUBSSaveLoadWrappedRings(t *testing.T) {
+	const slots = 8
+	h := newUBSHarness(slots)
+	id := uint64(0)
+	next := func() uint64 { id++; return id }
+	// Walk vc 0's head to stride-1, then fill three entries across the
+	// wrap (ring positions 7, 0, 1).
+	for i := 0; i < slots-1; i++ {
+		h.write(t, next(), 0)
+		h.pop(t, 0)
+	}
+	for i := 0; i < 3; i++ {
+		h.write(t, next(), 0)
+	}
+	// vc 2 emptied after its head moved to 3; vc 1 and vc 5 partly
+	// filled, interleaved so slots are non-consecutive.
+	for i := 0; i < 3; i++ {
+		h.write(t, next(), 2)
+		h.write(t, next(), 1)
+		h.pop(t, 2)
+	}
+	h.pop(t, 1)
+	h.write(t, next(), 5)
+	if got := h.b.table.head[0]; got != slots-1 {
+		t.Fatalf("setup: vc 0 head %d, want %d", got, slots-1)
+	}
+	if h.b.Len(0) != 3 || h.b.Len(1) != 2 || h.b.Len(2) != 0 || h.b.Len(5) != 1 {
+		t.Fatalf("setup: row lengths %d/%d/%d/%d", h.b.Len(0), h.b.Len(1), h.b.Len(2), h.b.Len(5))
+	}
+
+	blob := saveUBS(h.b)
+	r, err := snap.Open(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := &ubsHarness{b: NewUBS(slots), pkts: h.pkts, now: h.now}
+	if err := g.b.LoadState(r, h.resolve); err != nil {
+		t.Fatalf("LoadState: %v", err)
+	}
+	for vc := 0; vc < slots; vc++ {
+		a, b := &h.b.table, &g.b.table
+		if a.head[vc] != b.head[vc] || a.count[vc] != b.count[vc] {
+			t.Fatalf("vc %d registers: head %d/%d, count %d/%d", vc, a.head[vc], b.head[vc], a.count[vc], b.count[vc])
+		}
+		for i := 0; i < a.count[vc]; i++ {
+			pos := vc*a.stride + a.ringPos(vc, i)
+			if a.flat[pos] != b.flat[pos] {
+				t.Fatalf("vc %d entry %d at ring position %d: slot %d, restored %d", vc, i, pos, a.flat[pos], b.flat[pos])
+			}
+		}
+		if h.b.headArrived[vc] != g.b.headArrived[vc] {
+			t.Fatalf("vc %d head stamp %d, restored %d", vc, h.b.headArrived[vc], g.b.headArrived[vc])
+		}
+	}
+	if h.b.table.active != g.b.table.active || h.b.Occupied() != g.b.Occupied() {
+		t.Fatalf("active rows %d/%d, occupied %d/%d", h.b.table.active, g.b.table.active, h.b.Occupied(), g.b.Occupied())
+	}
+	if again := saveUBS(g.b); !bytes.Equal(blob, again) {
+		t.Fatal("re-save of the restored buffer differs from the original blob")
+	}
+
+	// Identical operation sequences from here must pick identical
+	// slots and dequeue identical packets.
+	rng := rand.New(rand.NewSource(3))
+	for step := 0; step < 400; step++ {
+		vc := rng.Intn(slots)
+		if h.b.Occupied() < slots && rng.Intn(2) == 0 {
+			pid := next()
+			h.write(t, pid, vc)
+			g.write(t, pid, vc)
+			if a, b := h.b.SlotsOf(vc), g.b.SlotsOf(vc); a[len(a)-1] != b[len(b)-1] {
+				t.Fatalf("step %d: write to vc %d took slot %d, restored %d", step, vc, a[len(a)-1], b[len(b)-1])
+			}
+			continue
+		}
+		if h.b.Len(vc) == 0 {
+			continue
+		}
+		ia, sa := h.pop(t, vc)
+		ib, sb := g.pop(t, vc)
+		if ia != ib || sa != sb {
+			t.Fatalf("step %d: pop vc %d gave packet %d from slot %d, restored packet %d from slot %d", step, vc, ia, sa, ib, sb)
+		}
+	}
+	if !bytes.Equal(saveUBS(h.b), saveUBS(g.b)) {
+		t.Fatal("buffers diverged under an identical operation sequence")
+	}
+}
+
+// TestTableLoadRejectsCorruptRegisters feeds the control-table loader
+// well-formed (checksummed) sections whose head, count or live entry
+// lies outside the ring: each must come back as an error, not a panic
+// on a later ring access.
+func TestTableLoadRejectsCorruptRegisters(t *testing.T) {
+	const rows, stride = 2, 4
+	cases := []struct {
+		name              string
+		head, count, slot uint32
+	}{
+		{"head at stride", stride, 0, 0},
+		{"head far out", 1 << 31, 1, 0},
+		{"count past stride", 0, stride + 1, 0},
+		{"slot past stride", 1, 1, stride},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := snap.NewWriter()
+			w.U32(rows)
+			w.U32(tc.head)
+			w.U32(tc.count)
+			for i := uint32(0); i < tc.count && i < stride+1; i++ {
+				w.U32(tc.slot)
+			}
+			w.U32(0) // row 1: empty
+			w.U32(0)
+			r, err := snap.Open(w.Finish())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var tab Table
+			tab.init(rows, stride, nil)
+			if err := tab.load(r); err == nil {
+				t.Fatalf("load accepted head %d, count %d, slot %d on a %d-entry ring", tc.head, tc.count, tc.slot, stride)
+			}
+		})
 	}
 }

@@ -33,29 +33,57 @@ func (t *Tracker) load(r *snap.Reader) error {
 	return nil
 }
 
-// save writes the control table's rings, head/count registers and
-// active-row count.
+// save writes each row's head and count registers followed by only
+// its count live ring entries, in ring order. Entries past count are
+// dead — Append overwrites a position before Head or PopHeadNext can
+// read it — so they do not travel; the active-row count is derived
+// from the counts.
 func (t *Table) save(w *snap.Writer) {
-	w.Ints(t.flat)
-	w.Ints(t.head)
-	w.Ints(t.count)
-	w.Int(t.active)
+	w.U32(uint32(len(t.head)))
+	for vc := range t.head {
+		w.U32(uint32(t.head[vc]))
+		w.U32(uint32(t.count[vc]))
+		for i := 0; i < t.count[vc]; i++ {
+			w.U32(uint32(t.flat[vc*t.stride+t.ringPos(vc, i)]))
+		}
+	}
 }
 
-// load restores a table of identical shape in place.
+// load restores a table of identical shape in place: the registers,
+// and each live entry at the ring position it was saved from, so the
+// physical layout and every later read match the saved table. A UBS
+// row is as wide as the slot pool, so a live entry naming a slot at
+// or past stride is corrupt.
 func (t *Table) load(r *snap.Reader) error {
-	r.IntsInto(t.flat)
-	r.IntsInto(t.head)
-	r.IntsInto(t.count)
-	active := r.Int()
-	if err := r.Err(); err != nil {
-		return err
+	if n := int(r.U32()); n != len(t.head) {
+		if err := r.Err(); err != nil {
+			return err
+		}
+		return fmt.Errorf("core: snapshot table has %d rows, constructed %d", n, len(t.head))
 	}
-	if active < 0 || active > len(t.head) {
-		return fmt.Errorf("core: snapshot table active rows %d outside [0,%d]", active, len(t.head))
+	active := 0
+	for vc := range t.head {
+		head, count := r.U32(), r.U32()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if head >= uint32(t.stride) || count > uint32(t.stride) {
+			return fmt.Errorf("core: snapshot table row %d head %d, count %d outside a %d-entry ring", vc, head, count, t.stride)
+		}
+		t.head[vc], t.count[vc] = int(head), int(count)
+		for i := 0; i < t.count[vc]; i++ {
+			slot := r.U32()
+			if slot >= uint32(t.stride) {
+				return fmt.Errorf("core: snapshot table row %d names slot %d of %d", vc, slot, t.stride)
+			}
+			t.flat[vc*t.stride+t.ringPos(vc, i)] = int(slot)
+		}
+		if count > 0 {
+			active++
+		}
 	}
 	t.active = active
-	return nil
+	return r.Err()
 }
 
 // SaveState serializes the Token Dispenser's availability bitmaps.
@@ -98,21 +126,31 @@ func (b *UBS) ForEachFlit(fn func(*flit.Flit)) {
 }
 
 // SaveState serializes the unified buffer's mutable contents: slot
-// occupancy (as flit references), arrival stamps, the readiness
-// overlay, the Slot Availability Tracker and the VC Control Table.
+// occupancy (as flit references) with each occupied slot's arrival
+// stamp, the readiness overlay, the Slot Availability Tracker, the VC
+// Control Table and each live row's cached head stamp. The stamps of
+// free slots are dead (Write sets a slot's stamp before any read) and
+// an empty row's head stamp is always neverReady, its constructed
+// value, so neither travels.
 func (b *UBS) SaveState(w *snap.Writer) {
 	w.Section("ubs")
 	w.Int(len(b.slots))
-	for _, f := range b.slots {
+	for i, f := range b.slots {
 		w.Flit(f)
+		if f != nil {
+			w.I64(b.arrived[i])
+		}
 	}
-	w.I64s(b.arrived)
-	w.I64s(b.headArrived)
 	w.U64s(b.readyMask)
 	w.U64s(b.pendMask)
 	w.I64(b.pendCycle)
 	b.tracker.save(w)
 	b.table.save(w)
+	for vc, at := range b.headArrived {
+		if b.table.Len(vc) > 0 {
+			w.I64(at)
+		}
+	}
 }
 
 // LoadState restores contents saved by SaveState into a UBS
@@ -130,14 +168,24 @@ func (b *UBS) LoadState(r *snap.Reader, resolve snap.Resolver) error {
 			return err
 		}
 		b.slots[i] = f
+		if f != nil {
+			b.arrived[i] = r.I64()
+		}
 	}
-	r.I64sInto(b.arrived)
-	r.I64sInto(b.headArrived)
 	r.U64sInto(b.readyMask)
 	r.U64sInto(b.pendMask)
 	b.pendCycle = r.I64()
 	if err := b.tracker.load(r); err != nil {
 		return err
 	}
-	return b.table.load(r)
+	if err := b.table.load(r); err != nil {
+		return err
+	}
+	for vc := range b.headArrived {
+		b.headArrived[vc] = neverReady
+		if b.table.Len(vc) > 0 {
+			b.headArrived[vc] = r.I64()
+		}
+	}
+	return r.Err()
 }

@@ -81,11 +81,7 @@ func (t *Table) Append(vc, slot int) {
 	if n == 0 {
 		t.active++
 	}
-	pos := t.head[vc] + n
-	if pos >= t.stride {
-		pos -= t.stride
-	}
-	t.flat[vc*t.stride+pos] = slot
+	t.flat[vc*t.stride+t.ringPos(vc, n)] = slot
 	t.count[vc] = n + 1
 }
 
@@ -139,11 +135,17 @@ func (t *Table) Slots(vc int) []int {
 	//vichar:alloc diagnostic copy for tests and the invariant audit; not on the steady-state tick path
 	out := make([]int, t.count[vc])
 	for i := range out {
-		pos := t.head[vc] + i
-		if pos >= t.stride {
-			pos -= t.stride
-		}
-		out[i] = t.flat[vc*t.stride+pos]
+		out[i] = t.flat[vc*t.stride+t.ringPos(vc, i)]
 	}
 	return out
+}
+
+// ringPos returns the ring index of row vc's i-th entry (0 = head),
+// for i < stride.
+func (t *Table) ringPos(vc, i int) int {
+	pos := t.head[vc] + i
+	if pos >= t.stride {
+		pos -= t.stride
+	}
+	return pos
 }

@@ -512,13 +512,14 @@ func (n *Network) SaveState(w *snap.Writer) error {
 	w.Section("worklist")
 	w.Bools(n.computeActive)
 	w.Bools(n.deliverActive)
-	w.Int(len(n.wlStats))
-	for i := range n.wlStats {
-		w.U64(n.wlStats[i].ComputeTicked)
-		w.U64(n.wlStats[i].ComputeSkipped)
-		w.U64(n.wlStats[i].DeliverTicked)
-		w.U64(n.wlStats[i].DeliverSkipped)
-	}
+	// The tallies are diagnostic and shard-owned only to keep the
+	// parallel phases race-free; their sum is the state, so a
+	// checkpoint resumes at any worker count.
+	wl := n.WorklistStats()
+	w.U64(wl.ComputeTicked)
+	w.U64(wl.ComputeSkipped)
+	w.U64(wl.DeliverTicked)
+	w.U64(wl.DeliverSkipped)
 
 	n.saveTraceState(w)
 	n.collector.SaveState(w)
@@ -645,17 +646,12 @@ func (n *Network) LoadState(r *snap.Reader) error {
 	}
 	r.BoolsInto(n.computeActive)
 	r.BoolsInto(n.deliverActive)
-	if cnt := r.Int(); cnt != len(n.wlStats) {
-		if r.Err() != nil {
-			return r.Err()
-		}
-		return fmt.Errorf("network: snapshot has %d worklist shards, configuration has %d", cnt, len(n.wlStats))
-	}
-	for i := range n.wlStats {
-		n.wlStats[i].ComputeTicked = r.U64()
-		n.wlStats[i].ComputeSkipped = r.U64()
-		n.wlStats[i].DeliverTicked = r.U64()
-		n.wlStats[i].DeliverSkipped = r.U64()
+	clear(n.wlStats)
+	n.wlStats[0] = WorklistStats{
+		ComputeTicked:  r.U64(),
+		ComputeSkipped: r.U64(),
+		DeliverTicked:  r.U64(),
+		DeliverSkipped: r.U64(),
 	}
 
 	if err := n.loadTraceState(r); err != nil {

@@ -1,7 +1,8 @@
 // Package rng wraps math/rand's seeded generator in a draw-counting
 // shim so a stream's exact position can be captured as (seed, draws)
-// and restored by fast-forwarding a freshly seeded source — the basis
-// of the simulator's checkpoint/restore contract for random streams.
+// and restored by fast-forwarding a seeded source (Reposition reuses
+// the source construction already seeded) — the basis of the
+// simulator's checkpoint/restore contract for random streams.
 //
 // The count is taken at the *source* level (one increment per
 // underlying generator step), not at the API level: rand.Rand methods
@@ -56,10 +57,30 @@ func New(seed int64) *Stream {
 // already been consumed from a fresh stream with the given seed.
 func Restore(seed int64, draws uint64) *Stream {
 	s := New(seed)
-	for i := uint64(0); i < draws; i++ {
+	s.Advance(draws)
+	return s
+}
+
+// Advance consumes n generator steps in place, exactly as n draws
+// through any of the stream's methods would have.
+func (s *Stream) Advance(n uint64) {
+	for i := uint64(0); i < n; i++ {
 		s.src.src.Uint64()
 	}
-	s.src.draws = draws
+	s.src.draws += n
+}
+
+// Reposition returns a stream at position (seed, draws). Seeding is
+// the expensive part of a math/rand stream, so when s is already a
+// stream of seed that has not passed draws — the restore case, where
+// construction seeded it and drew at most its initial phase — s is
+// advanced in place and returned; otherwise a freshly seeded Restore
+// is.
+func Reposition(s *Stream, seed int64, draws uint64) *Stream {
+	if s == nil || s.seed != seed || s.Draws() > draws {
+		return Restore(seed, draws)
+	}
+	s.Advance(draws - s.Draws())
 	return s
 }
 

@@ -79,3 +79,68 @@ func TestDrawsCountsSourceSteps(t *testing.T) {
 		t.Fatal("Intn did not advance the draw counter")
 	}
 }
+
+// TestAdvanceMatchesRestore pins the in-place restore path: advancing
+// a fresh stream to the draw count of a mixed Float64/Intn/Int63n
+// prefix must land on exactly the state Restore reaches, and on the
+// original stream's.
+func TestAdvanceMatchesRestore(t *testing.T) {
+	s := New(2024)
+	for i := 0; i < 777; i++ {
+		s.Float64()
+		s.Intn(1 << 30)
+		s.Int63n(1_000_003)
+	}
+	a := New(2024)
+	a.Advance(s.Draws())
+	r := Restore(2024, s.Draws())
+	if a.Draws() != s.Draws() || r.Draws() != s.Draws() {
+		t.Fatalf("draw counts: advanced %d, restored %d, original %d", a.Draws(), r.Draws(), s.Draws())
+	}
+	for i := 0; i < 3000; i++ {
+		want := s.Int63n(1 << 40)
+		if got := a.Int63n(1 << 40); got != want {
+			t.Fatalf("draw %d: advanced stream %d, original %d", i, got, want)
+		}
+		if got := r.Int63n(1 << 40); got != want {
+			t.Fatalf("draw %d: restored stream %d, original %d", i, got, want)
+		}
+	}
+}
+
+// TestRepositionPaths checks both branches of Reposition: a stream of
+// the right seed short of the target is advanced in place (same
+// object); one past the target, or of another seed, is replaced by a
+// fresh Restore. Every path lands on the target position.
+func TestRepositionPaths(t *testing.T) {
+	check := func(name string, s *Stream) {
+		t.Helper()
+		c := Restore(7, 500)
+		if s.Seed() != 7 || s.Draws() != 500 {
+			t.Fatalf("%s: position (%d, %d), want (7, 500)", name, s.Seed(), s.Draws())
+		}
+		for i := 0; i < 100; i++ {
+			if got, want := s.Float64(), c.Float64(); got != want {
+				t.Fatalf("%s: draw %d is %v, want %v", name, i, got, want)
+			}
+		}
+	}
+	behind := New(7)
+	behind.Float64()
+	got := Reposition(behind, 7, 500)
+	if got != behind {
+		t.Fatal("a stream behind the target was replaced instead of advanced in place")
+	}
+	check("in place", got)
+	for _, c := range []struct {
+		name string
+		s    *Stream
+	}{{"past target", Restore(7, 600)}, {"other seed", New(8)}} {
+		got := Reposition(c.s, 7, 500)
+		if got == c.s {
+			t.Fatalf("%s: stream reused", c.name)
+		}
+		check(c.name, got)
+	}
+	check("nil", Reposition(nil, 7, 500))
+}

@@ -147,29 +147,48 @@ func loadBank(r *snap.Reader, bank []arbiter.RoundRobin) error {
 	return r.Err()
 }
 
-// saveVC writes one input VC's allocation state machine.
-func saveVC(w *snap.Writer, st *vcState) {
+// idleVC is the one-byte record of an input VC equal to its
+// constructed value (idle, no packet, no candidates, zero route, wait
+// stamp and packed route) — every VC of a quiet router. It lies
+// outside the state range, so it cannot be mistaken for a full
+// record's state byte.
+const idleVC uint8 = 0xff
+
+// saveVC writes one input VC's allocation state machine and its
+// packed route (outInfo), or the idleVC marker when both equal their
+// constructed values.
+func saveVC(w *snap.Writer, st *vcState, info int) {
+	if st.state == vcIdle && st.pkt == nil && len(st.cands) == 0 &&
+		st.outPort == 0 && st.outVC == 0 && st.waitSince == 0 && info == 0 {
+		w.U8(idleVC)
+		return
+	}
 	w.U8(st.state)
 	w.Packet(st.pkt)
 	w.Ints(st.cands)
 	w.Int(st.outPort)
 	w.Int(st.outVC)
 	w.I64(st.waitSince)
+	w.Int(info)
 }
 
 // loadVC restores one input VC's allocation state machine, reusing
-// the candidate slice's backing array.
-func loadVC(r *snap.Reader, st *vcState, pkts snap.PacketResolver) error {
+// the candidate slice's backing array, and returns its packed route.
+func loadVC(r *snap.Reader, st *vcState, pkts snap.PacketResolver) (info int, err error) {
 	state := r.U8()
 	if r.Err() != nil {
-		return r.Err()
+		return 0, r.Err()
+	}
+	if state == idleVC {
+		*st = vcState{cands: st.cands[:0]}
+		return 0, nil
 	}
 	if state > vcActive {
-		return fmt.Errorf("router: snapshot VC state %d out of range", state)
+		return 0, fmt.Errorf("router: snapshot VC state %d out of range", state)
 	}
 	pkt, err := r.Packet(pkts)
 	if err != nil {
-		return err
+		return 0, err
 	}
 	st.state = state
 	st.pkt = pkt
@@ -177,7 +196,7 @@ func loadVC(r *snap.Reader, st *vcState, pkts snap.PacketResolver) error {
 	st.outPort = r.Int()
 	st.outVC = r.Int()
 	st.waitSince = r.I64()
-	return r.Err()
+	return r.Int(), r.Err()
 }
 
 // SaveState serializes the router's mutable pipeline state.
@@ -188,12 +207,11 @@ func (r *Router) SaveState(w *snap.Writer) {
 		in := &r.in[p]
 		in.buf.SaveState(w)
 		for v := range in.vc {
-			saveVC(w, &in.vc[v])
+			saveVC(w, &in.vc[v], in.outInfo[v])
 		}
 		w.U64s(in.bufMask)
 		w.U64s(in.vaMask)
 		w.U64s(in.actMask)
-		w.Ints(in.outInfo)
 	}
 	for p := range r.out {
 		SaveView(w, r.out[p].view)
@@ -221,14 +239,15 @@ func (r *Router) LoadState(rd *snap.Reader, resolve snap.Resolver, pkts snap.Pac
 			return err
 		}
 		for v := range in.vc {
-			if err := loadVC(rd, &in.vc[v], pkts); err != nil {
+			info, err := loadVC(rd, &in.vc[v], pkts)
+			if err != nil {
 				return err
 			}
+			in.outInfo[v] = info
 		}
 		rd.U64sInto(in.bufMask)
 		rd.U64sInto(in.vaMask)
 		rd.U64sInto(in.actMask)
-		rd.IntsInto(in.outInfo)
 		if err := rd.Err(); err != nil {
 			return err
 		}

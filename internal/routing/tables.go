@@ -42,35 +42,105 @@ func NewTables(f Function, m topology.Mesh) *Tables { return NewTablesIn(nil, f,
 
 // NewTablesIn is NewTables drawing the tables from the arena's byte
 // pool (nil-arena safe), so they sit beside the rest of the network's
-// hot state. The arena must be sized with TableBytes.
+// hot state. The arena must be sized with TableBytes. The tables have
+// a closed form for the two built-in functions only; any other
+// function panics.
 func NewTablesIn(a *soa.Arena, f Function, m topology.Mesh) *Tables {
 	n := m.Nodes()
 	t := &Tables{n: n}
-	det := f.Deterministic()
-	if det {
+	switch f.(type) {
+	case XY:
 		t.ports = a.TakeBytes(n * n)
-	} else {
+	case MinimalAdaptive:
 		t.cands = a.TakeBytes(n * n)
+	default:
+		panic(fmt.Sprintf("routing: no route-table form for %s", f))
 	}
 	if !sharesEscapeTable(f, m) {
 		t.escape = a.TakeBytes(n * n)
 	}
-	scratch := make([]int, 0, 2)
-	for cur := 0; cur < n; cur++ {
-		for dst := 0; dst < n; dst++ {
-			i := cur*n + dst
-			scratch = f.AppendCandidates(scratch[:0], m, cur, dst)
-			if det {
-				t.ports[i] = packPort(scratch[0])
+	t.fill(m)
+	return t
+}
+
+// fill fills the tables of the two built-in functions from per-axis
+// direction rows. Both are dimension-separable: the port toward dst
+// depends only on the X pair (cx, dx) and the Y pair (cy, dy).
+// xDir/yDir therefore run W² + H² times per axis rule (the function's
+// own, plus the never-wrapping escape rule), and each table row — one
+// current node, one destination row dy — is the current column's X
+// row with the destination column patched: no per-pair coordinate
+// division or interface dispatch. TestTablesEquivalence pins the
+// bytes to the live functions exhaustively.
+func (t *Tables) fill(m topology.Mesh) {
+	w, h := m.Width, m.Height
+	fx, fy := axisRows(m)
+	mesh := m
+	mesh.Torus = false
+	ex, ey := axisRows(mesh)
+	for cur := 0; cur < t.n; cur++ {
+		cx, cy := cur%w, cur/w
+		for dy := 0; dy < h; dy++ {
+			lo := cur*t.n + dy*w
+			if t.ports != nil {
+				portRow(t.ports[lo:lo+w], fx[cx*w:], fy[cy*h+dy], cx, cy == dy)
 			} else {
-				t.cands[i] = packCandidates(scratch)
+				candRow(t.cands[lo:lo+w], fx[cx*w:], fy[cy*h+dy], cx, cy == dy)
 			}
 			if t.escape != nil {
-				t.escape[i] = packPort(EscapePort(m, cur, dst))
+				portRow(t.escape[lo:lo+w], ex[cx*w:], ey[cy*h+dy], cx, cy == dy)
 			}
 		}
 	}
-	return t
+}
+
+// axisRows returns the X and Y direction rows of mesh m's axis rule:
+// x[cx*W+dx] = xDir(m, cx, dx) and y[cy*H+dy] = yDir(m, cy, dy).
+// Diagonal entries (no offset along the axis) are never read.
+func axisRows(m topology.Mesh) (x, y []uint8) {
+	w, h := m.Width, m.Height
+	x = make([]uint8, w*w)
+	for c := 0; c < w; c++ {
+		for d := 0; d < w; d++ {
+			x[c*w+d] = packPort(xDir(m, c, d))
+		}
+	}
+	y = make([]uint8, h*h)
+	for c := 0; c < h; c++ {
+		for d := 0; d < h; d++ {
+			y[c*h+d] = packPort(yDir(m, c, d))
+		}
+	}
+	return x, y
+}
+
+// portRow fills one dimension-ordered table row: the X port toward
+// every destination column but the current one, where the Y port y
+// (or Local, on the current row) takes over.
+func portRow(dst, x []uint8, y uint8, cx int, sameRow bool) {
+	copy(dst, x[:len(dst)])
+	if sameRow {
+		y = topology.Local
+	}
+	dst[cx] = y
+}
+
+// candRow fills one minimal-adaptive table row of packed candidate
+// words: X direction first, then Y when the destination row differs;
+// the Y port alone (or Local, on the current row) in the current
+// column.
+func candRow(dst, x []uint8, y uint8, cx int, sameRow bool) {
+	if sameRow {
+		for i := range dst {
+			dst[i] = 1<<6 | x[i]
+		}
+		dst[cx] = 1<<6 | topology.Local
+		return
+	}
+	for i := range dst {
+		dst[i] = 2<<6 | y<<3 | x[i]
+	}
+	dst[cx] = 1<<6 | y
 }
 
 // sharesEscapeTable reports whether the function's own table already
@@ -89,19 +159,6 @@ func packPort(p int) uint8 {
 		panic(fmt.Sprintf("routing: port %d does not fit a packed table entry", p))
 	}
 	return uint8(p)
-}
-
-// packCandidates packs an ordered candidate set into one byte.
-func packCandidates(cands []int) uint8 {
-	if len(cands) < 1 || len(cands) > 2 {
-		//vichar:invariant only reachable from table construction; minimal routing on a 2-D mesh emits 1 or 2 candidates
-		panic(fmt.Sprintf("routing: cannot pack %d candidates into a table word", len(cands)))
-	}
-	w := uint8(len(cands))<<6 | packPort(cands[0])
-	if len(cands) == 2 {
-		w |= packPort(cands[1]) << 3
-	}
-	return w
 }
 
 // AppendCandidates appends the memoized candidates for (cur, dst) to

@@ -30,7 +30,12 @@ const (
 	// Version is the snapshot format version; Open rejects any other.
 	// Version 2 added packet Class/Kind/Req, per-class NI streams,
 	// ViChaR class reserves and the transaction-engine section.
-	Version = 2
+	// Version 3 drops dead state (DESIGN.md §15): control-table rows
+	// carry only their live ring entries, an input VC equal to its
+	// constructed value is a one-byte marker, and the worklist tallies
+	// travel summed, so a checkpoint no longer depends on the worker
+	// count that wrote it.
+	Version = 3
 )
 
 // Writer accumulates a snapshot payload and seals it with Finish.
@@ -229,13 +234,14 @@ func (r *Reader) take(n int) []byte {
 	return b
 }
 
-// Section consumes a marker and checks its name.
+// Section consumes a marker and checks its name, comparing in place
+// (a restore checks thousands of markers; none is allocated).
 func (r *Reader) Section(name string) error {
-	got := r.String()
+	got := r.take(int(r.U32()))
 	if r.err != nil {
 		return r.err
 	}
-	if got != name {
+	if string(got) != name {
 		r.fail("expected section %q, found %q", name, got)
 	}
 	return r.err

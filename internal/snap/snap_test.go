@@ -1,7 +1,9 @@
 package snap
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -208,5 +210,21 @@ func TestFlitRefRoundTrip(t *testing.T) {
 	}
 	if _, err := r2.Flit(unknown); err == nil {
 		t.Fatal("resolver failure not propagated")
+	}
+}
+
+// TestOlderVersionRejected builds a correctly checksummed envelope
+// under each earlier format version: Open must refuse it with the
+// version error instead of misparsing a layout it no longer reads.
+func TestOlderVersionRejected(t *testing.T) {
+	for v := uint32(1); v < Version; v++ {
+		body := binary.LittleEndian.AppendUint32([]byte(magic), v)
+		body = binary.LittleEndian.AppendUint32(body, 0)
+		blob := binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+		_, err := Open(blob)
+		want := fmt.Sprintf("format version %d not supported (want %d)", v, Version)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open of a v%d blob = %v, want %q", v, err, want)
+		}
 	}
 }

@@ -264,8 +264,9 @@ func (g *Generator) SaveState(w *snap.Writer) {
 
 // LoadState restores the state written by SaveState into a generator
 // freshly constructed from the same structural configuration: each
-// node stream is re-seeded and fast-forwarded to its saved draw
-// count.
+// node stream is fast-forwarded to its saved draw count — in place,
+// from the position construction left it at, unless construction
+// already drew past it (rng.Reposition).
 func (g *Generator) LoadState(r *snap.Reader) error {
 	if err := r.Section("traffic"); err != nil {
 		return err
@@ -274,7 +275,7 @@ func (g *Generator) LoadState(r *snap.Reader) error {
 		return fmt.Errorf("traffic: snapshot has %d node streams, generator has %d", n, len(g.rngs))
 	}
 	for i := range g.rngs {
-		g.rngs[i] = rng.Restore(seedFor(g.cfg.Seed, i), r.U64())
+		g.rngs[i] = rng.Reposition(g.rngs[i], seedFor(g.cfg.Seed, i), r.U64())
 	}
 	if n := r.Int(); n != len(g.onoff) {
 		return fmt.Errorf("traffic: snapshot has %d ON/OFF sources, generator has %d", n, len(g.onoff))

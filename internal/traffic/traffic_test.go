@@ -594,3 +594,69 @@ func TestGeneratorStateRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestLoadStateStreamPaths pins which way LoadState repositions the
+// node streams, and that both ways resume bit-identically. A freshly
+// constructed open-loop Bernoulli generator is behind every saved
+// position, so its streams advance in place (same objects). A
+// self-similar generator rewound to an earlier checkpoint has drawn
+// past the saved position of every node that left an ON/OFF period
+// since, so those streams are reseeded.
+func TestLoadStateStreamPaths(t *testing.T) {
+	cases := []struct {
+		name    string
+		proc    config.TrafficProcess
+		runTo   int64 // cycles the loading generator runs before LoadState
+		reseeds bool  // whether some stream must take the reseed path
+	}{
+		{"bernoulli-fresh", config.UniformRandom, 0, false},
+		{"selfsimilar-rewind", config.SelfSimilar, 6_000, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := cfgWith(tc.proc, config.NormalRandom, 0.3, 41)
+			mesh := topology.New(cfg.Width, cfg.Height)
+			g := New(cfg, mesh)
+			countPackets(g, mesh, 5_000)
+			w := snap.NewWriter()
+			g.SaveState(w)
+			r, err := snap.Open(w.Finish())
+			if err != nil {
+				t.Fatal(err)
+			}
+			g2 := New(cfg, mesh)
+			countPackets(g2, mesh, tc.runTo)
+			before := append([]*rng.Stream(nil), g2.rngs...)
+			if err := g2.LoadState(r); err != nil {
+				t.Fatal(err)
+			}
+			reseeded := 0
+			for i := range before {
+				past := before[i].Draws() > g.rngs[i].Draws()
+				if reused := g2.rngs[i] == before[i]; reused == past {
+					t.Fatalf("node %d: stream reused = %v with %d draws against %d saved",
+						i, reused, before[i].Draws(), g.rngs[i].Draws())
+				}
+				if past {
+					reseeded++
+				}
+			}
+			if (reseeded > 0) != tc.reseeds {
+				t.Fatalf("%d streams reseeded, want reseeds = %v", reseeded, tc.reseeds)
+			}
+			for now := int64(5_001); now <= 8_000; now++ {
+				var a, b [][3]int
+				g.Tick(now, func(src, dst, size int) { a = append(a, [3]int{src, dst, size}) })
+				g2.Tick(now, func(src, dst, size int) { b = append(b, [3]int{src, dst, size}) })
+				if len(a) != len(b) {
+					t.Fatalf("cycle %d: %d vs %d events", now, len(a), len(b))
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("cycle %d event %d: %v vs %v", now, i, a[i], b[i])
+					}
+				}
+			}
+		})
+	}
+}

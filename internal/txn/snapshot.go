@@ -67,7 +67,7 @@ func (e *Engine) LoadState(r *snap.Reader) error {
 		if n < 0 || n > q.flight {
 			return fmt.Errorf("txn: node %d: %d pending entries for %d in flight", id, n, q.flight)
 		}
-		q.stream = rng.Restore(seed, draws)
+		q.stream = rng.Reposition(q.stream, seed, draws)
 		q.pending = make(map[uint64]int64, n)
 		for i := 0; i < n; i++ {
 			req := r.U64()

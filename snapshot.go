@@ -58,6 +58,11 @@ type Overrides struct {
 	MeasurePackets *int
 	// MaxCycles replaces the saturation cycle cap.
 	MaxCycles *int64
+	// Workers replaces the kernel's worker count. Results are
+	// bit-identical at any worker count and the checkpoint carries no
+	// per-worker state, so a snapshot taken on one worker resumes
+	// on several.
+	Workers *int
 }
 
 // Restore rebuilds a simulator from a Snapshot blob. The restored
@@ -96,6 +101,9 @@ func RestoreWith(data []byte, o Overrides) (*Simulator, error) {
 	}
 	if o.MaxCycles != nil {
 		cfg.MaxCycles = *o.MaxCycles
+	}
+	if o.Workers != nil {
+		cfg.Workers = *o.Workers
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("vichar: restore: %w", err)

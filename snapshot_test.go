@@ -97,8 +97,12 @@ func stepTo(t *testing.T, s *vichar.Simulator, c int64) {
 // three cuts spread across the run (all strictly before the
 // straight-through run's final cycle, where the protocols align), and
 // that restoring and immediately re-snapshotting reproduces the blob
-// byte for byte. It returns whether any cut landed mid-packet.
-func checkResume(t *testing.T, cfg vichar.Config) bool {
+// byte for byte. A nonzero restoreWorkers restores each cut at that
+// worker count instead; the re-snapshot must then equal the blob of a
+// run that used restoreWorkers from cycle 0, which pins that the
+// checkpoint carries no trace of the worker count that wrote it. It
+// returns whether any cut landed mid-packet.
+func checkResume(t *testing.T, cfg vichar.Config, restoreWorkers int) bool {
 	t.Helper()
 	base, err := vichar.NewSimulator(cfg)
 	if err != nil {
@@ -131,7 +135,24 @@ func checkResume(t *testing.T, cfg vichar.Config) bool {
 		}
 		s.Close()
 
-		r, err := vichar.Restore(blob)
+		// wantBlob is what the restored simulator must re-snapshot to.
+		wantBlob := blob
+		var o vichar.Overrides
+		if restoreWorkers != 0 {
+			o.Workers = &restoreWorkers
+			wcfg := cfg
+			wcfg.Workers = restoreWorkers
+			ws, err := vichar.NewSimulator(wcfg)
+			if err != nil {
+				t.Fatalf("NewSimulator: %v", err)
+			}
+			stepTo(t, ws, c)
+			if wantBlob, err = ws.Snapshot(); err != nil {
+				t.Fatalf("Snapshot at cycle %d: %v", c, err)
+			}
+			ws.Close()
+		}
+		r, err := vichar.RestoreWith(blob, o)
 		if err != nil {
 			t.Fatalf("Restore at cycle %d: %v", c, err)
 		}
@@ -142,8 +163,8 @@ func checkResume(t *testing.T, cfg vichar.Config) bool {
 		if err != nil {
 			t.Fatalf("re-snapshot at cycle %d: %v", c, err)
 		}
-		if !bytes.Equal(blob, again) {
-			t.Errorf("cycle %d: snapshot of restored simulator differs from original blob", c)
+		if !bytes.Equal(wantBlob, again) {
+			t.Errorf("cycle %d: snapshot of restored simulator differs from the expected blob", c)
 		}
 		compareRuns(t, want, finish(r), fmt.Sprintf("cut at cycle %d", c))
 	}
@@ -178,7 +199,7 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 						MemEdge:    true,
 					}
 				}
-				if !checkResume(t, cfg) {
+				if !checkResume(t, cfg, 0) {
 					t.Fatalf("no cut landed mid-packet; test lost its teeth")
 				}
 			})
@@ -187,29 +208,80 @@ func TestSnapshotResumeBitIdentical(t *testing.T) {
 }
 
 // TestSnapshotResumeMatrix sweeps the satellite matrix: each
-// architecture under a torus topology, a multi-worker kernel, and an
-// adaptive-routing escape configuration.
+// architecture under a torus topology, a multi-worker kernel, an
+// adaptive-routing escape configuration, self-similar traffic, and a
+// one-worker checkpoint (metrics and tracing on) resumed at two and at
+// four workers.
 func TestSnapshotResumeMatrix(t *testing.T) {
+	oneWorker := func(c vichar.Config) vichar.Config {
+		c.Workers = 1
+		c.Metrics = true
+		c.TraceEvents = 4096
+		return c
+	}
 	variants := []struct {
-		name string
-		mut  func(vichar.Config) vichar.Config
+		name    string
+		mut     func(vichar.Config) vichar.Config
+		workers int // restore worker count; 0 keeps the snapshot's
 	}{
-		{"torus", func(c vichar.Config) vichar.Config { c.Torus = true; return c }},
-		{"workers", func(c vichar.Config) vichar.Config { c.Workers = 4; return c }},
+		{"torus", func(c vichar.Config) vichar.Config { c.Torus = true; return c }, 0},
+		{"workers", func(c vichar.Config) vichar.Config { c.Workers = 4; return c }, 0},
 		{"adaptive", func(c vichar.Config) vichar.Config {
 			c.Routing = vichar.MinimalAdaptive
 			c.EscapeVCs = 1
 			c.DeadlockThreshold = 16
 			return c
-		}},
-		{"selfsimilar", func(c vichar.Config) vichar.Config { c.Traffic = vichar.SelfSimilar; return c }},
+		}, 0},
+		{"selfsimilar", func(c vichar.Config) vichar.Config { c.Traffic = vichar.SelfSimilar; return c }, 0},
+		{"workers1to2", oneWorker, 2},
+		{"workers1to4", oneWorker, 4},
 	}
 	for _, arch := range []vichar.BufferArch{vichar.Generic, vichar.ViChaR, vichar.DAMQ, vichar.FCCB} {
 		for _, v := range variants {
 			t.Run(fmt.Sprintf("%v-%s", arch, v.name), func(t *testing.T) {
-				checkResume(t, v.mut(snapCfg(arch)))
+				checkResume(t, v.mut(snapCfg(arch)), v.workers)
 			})
 		}
+	}
+}
+
+// idleRouterBytesCeiling bounds a fresh ViC-16 checkpoint's bytes per
+// router: the format-v3 figure (~3,020 B at 16x16) plus 10%. Format
+// v2 serialized every control-table ring slot and every idle VC
+// record in full, ~18,300 B per router.
+const idleRouterBytesCeiling = 3325
+
+// TestSnapshotBytesTrackLiveState pins that an idle network's
+// checkpoint carries no dead state: bytes per router of a fresh
+// snapshot stay under the v3 ceiling, and agree within 10% between an
+// 8x8 and a 16x16 mesh, so checkpoint size scales with routers and
+// their live state, not with buffer geometry squared.
+func TestSnapshotBytesTrackLiveState(t *testing.T) {
+	perRouter := func(side int) float64 {
+		cfg := vichar.DefaultConfig()
+		cfg.Arch = vichar.ViChaR
+		cfg.BufferSlots = 16
+		cfg.Width, cfg.Height = side, side
+		s, err := vichar.NewSimulator(cfg)
+		if err != nil {
+			t.Fatalf("NewSimulator: %v", err)
+		}
+		defer s.Close()
+		blob, err := s.Snapshot()
+		if err != nil {
+			t.Fatalf("Snapshot: %v", err)
+		}
+		return float64(len(blob)) / float64(side*side)
+	}
+	small, large := perRouter(8), perRouter(16)
+	t.Logf("idle bytes per router: 8x8 %.0f, 16x16 %.0f", small, large)
+	for _, b := range []float64{small, large} {
+		if b > idleRouterBytesCeiling {
+			t.Errorf("idle checkpoint holds %.0f B per router, ceiling %d: dead state is being serialized", b, idleRouterBytesCeiling)
+		}
+	}
+	if r := large / small; r < 1/1.1 || r > 1.1 {
+		t.Errorf("bytes per router differ %.3fx between 8x8 (%.0f) and 16x16 (%.0f), want within 10%%", r, small, large)
 	}
 }
 
