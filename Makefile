@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-hot alloc-check snapshot-check test race race-kernel race-obs race-faults race-txn cover shape bench bench-kernel bench-obs bench-compare bench-smoke experiments paper synth examples clean
+.PHONY: all build vet lint lint-hot alloc-check snapshot-check test race race-kernel race-obs race-faults race-txn cover shape bench bench-kernel bench-obs bench-compare bench-smoke experiments paper synth examples loc clean
 
 all: build vet lint test
 
@@ -185,6 +185,11 @@ examples:
 	$(GO) run ./examples/adaptive
 	$(GO) run ./examples/powerbudget
 	$(GO) run ./examples/tracereplay
+
+# Non-test Go line count, perfbench/ excluded: the net figure every
+# simplification change reports.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './perfbench/*' ! -path './.bench_build/*' -print0 | xargs -0 cat | wc -l
 
 clean:
 	rm -rf results results-paper test_output.txt bench_output.txt coverage.out

@@ -84,9 +84,6 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Print(obs.Report())
-		if !obs.Reconciled() {
-			log.Fatal("registry totals do not reconcile with Results")
-		}
 		return
 	}
 

@@ -7,7 +7,7 @@ import (
 	"vichar"
 )
 
-func TestObserveReconciles(t *testing.T) {
+func TestObserveReport(t *testing.T) {
 	cfg := vichar.DefaultConfig()
 	cfg.Arch = vichar.ViChaR
 	cfg.Width, cfg.Height = 4, 4
@@ -15,9 +15,6 @@ func TestObserveReconciles(t *testing.T) {
 	obs, err := Observe(cfg, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !obs.Reconciled() {
-		t.Fatalf("registry totals do not reconcile with Results:\n%s", obs.Report())
 	}
 	if len(obs.Events) == 0 {
 		t.Fatal("instrumented run retained no flit events")
@@ -27,13 +24,10 @@ func TestObserveReconciles(t *testing.T) {
 		"registry totals",
 		"vichar_buffer_writes_total",
 		"busiest links",
-		"reconciliation vs Results",
+		"flit events retained",
 	} {
 		if !strings.Contains(rep, want) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
-	}
-	if strings.Contains(rep, "MISMATCH") {
-		t.Errorf("report flags a mismatch:\n%s", rep)
 	}
 }

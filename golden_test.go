@@ -40,7 +40,9 @@ func goldenConfig(arch vichar.BufferArch) vichar.Config {
 // compared byte-for-byte against committed fixtures. Any behavioral
 // change — an arbitration tweak, a counter added, a float reordered —
 // shows up as a fixture diff that must be reviewed and regenerated
-// deliberately with -update.
+// deliberately with -update. Each case runs a second time with the
+// metrics registry and flit tracer on, against the same fixture:
+// observability must never perturb the simulation.
 func TestGoldenResults(t *testing.T) {
 	cases := []struct {
 		name string
@@ -97,15 +99,7 @@ func TestGoldenResults(t *testing.T) {
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			res, err := vichar.Run(c.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				t.Fatal(err)
-			}
-			got = append(got, '\n')
+			got := goldenJSON(t, c.cfg)
 			path := filepath.Join("testdata", "golden", c.name+".json")
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -124,6 +118,26 @@ func TestGoldenResults(t *testing.T) {
 				t.Fatalf("results diverged from %s\ngot:\n%s\nwant:\n%s\n(if the change is intended, regenerate with: go test . -run TestGoldenResults -update)",
 					path, got, want)
 			}
+			obs := c.cfg
+			obs.Metrics = true
+			obs.TraceEvents = 1 << 12
+			if got := goldenJSON(t, obs); !bytes.Equal(got, want) {
+				t.Fatalf("results with metrics and tracing on diverged from %s\ngot:\n%s\nwant:\n%s", path, got, want)
+			}
 		})
 	}
+}
+
+// goldenJSON runs cfg and renders its Results in fixture form.
+func goldenJSON(t *testing.T, cfg vichar.Config) []byte {
+	t.Helper()
+	res, err := vichar.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(got, '\n')
 }

@@ -88,6 +88,16 @@ type Registry struct {
 	cvals    []uint64
 	gauges   []seriesDesc
 	gvals    []float64
+	// published maps counter series to the simulator counts they are
+	// read from at each merge (Recorder.CounterFrom).
+	published []publishedSeries
+}
+
+// publishedSeries is one counter series fed from a count the
+// simulator keeps itself.
+type publishedSeries struct {
+	series int // registry counter index
+	src    *uint64
 }
 
 // NewRegistry returns an empty registry. Register every series (via
@@ -145,6 +155,23 @@ func (rec *Recorder) Counter(name, help string, labels Labels) CounterID {
 	return CounterID(len(rec.counts) - 1)
 }
 
+// CounterFrom registers a counter series whose total is a count the
+// simulator already keeps at src — a router's stats.Counters field, a
+// link's flit or fault tally — instead of a second copy staged on the
+// hot path: MergeRecorders stores *src into the series as an absolute
+// total after folding the staged deltas. The series still takes a
+// (never incremented) staging slot on the recorder, so checkpoint
+// layout does not depend on how a series is fed, and a delta staged
+// by an older checkpoint is overwritten at the first merge. src must
+// outlive the registry and is read only in the serial phase.
+func (rec *Recorder) CounterFrom(name, help string, labels Labels, src *uint64) {
+	id := rec.Counter(name, help, labels)
+	reg := rec.reg
+	reg.mu.Lock()
+	reg.published = append(reg.published, publishedSeries{series: rec.ids[id], src: src})
+	reg.mu.Unlock()
+}
+
 // Inc adds one to the counter. Owner shard only; never allocates.
 func (rec *Recorder) Inc(id CounterID) { rec.counts[id]++ }
 
@@ -167,10 +194,11 @@ func (rec *Recorder) StageEvent(e Event) {
 func (rec *Recorder) Pending() int { return len(rec.events) }
 
 // MergeRecorders folds every recorder's staged counter deltas into
-// the registry, in slice order, under one lock acquisition, and
-// zeroes the staging counts. Must run in the kernel's serial phase;
-// the fixed merge order is what keeps registry state bit-identical
-// across worker counts.
+// the registry, in slice order, and zeroes the staging counts; then it
+// stores every CounterFrom series' source count, all under one lock
+// acquisition. Must run in the kernel's serial phase; the fixed merge
+// order is what keeps registry state bit-identical across worker
+// counts.
 func (r *Registry) MergeRecorders(recs []*Recorder) {
 	r.mu.Lock()
 	for _, rec := range recs {
@@ -180,6 +208,9 @@ func (r *Registry) MergeRecorders(recs []*Recorder) {
 				rec.counts[i] = 0
 			}
 		}
+	}
+	for _, p := range r.published {
+		r.cvals[p.series] = *p.src
 	}
 	r.mu.Unlock()
 }

@@ -4,6 +4,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"vichar/internal/stats"
 )
 
 func TestRegistryMergeAndSnapshot(t *testing.T) {
@@ -46,6 +48,40 @@ func TestRegistryMergeAndSnapshot(t *testing.T) {
 	}
 }
 
+// A CounterFrom series mirrors its source count as an absolute total
+// at every merge: no staging, no double counting, and a delta left in
+// its staging slot (as restored from an older checkpoint) is
+// overwritten rather than added.
+func TestCounterFromPublishesSource(t *testing.T) {
+	reg := NewRegistry()
+	rec := reg.NewRecorder(false)
+	staged := rec.Counter("staged_total", "", nil)
+	var src uint64
+	rec.CounterFrom("pub_total", "published", Labels{{"node", "0"}}, &src)
+	recs := []*Recorder{rec}
+
+	src = 5
+	rec.Inc(staged)
+	reg.MergeRecorders(recs)
+	s := reg.Snapshot()
+	if got := s.Sum("pub_total"); got != 5 {
+		t.Fatalf("pub_total = %d, want source 5", got)
+	}
+	if got := s.Sum("staged_total"); got != 1 {
+		t.Fatalf("staged_total = %d, want 1", got)
+	}
+	reg.MergeRecorders(recs)
+	if got := reg.Snapshot().Sum("pub_total"); got != 5 {
+		t.Fatalf("after idle merge pub_total = %d, want 5", got)
+	}
+	src = 9
+	rec.counts[1] = 100 // a stale staged delta
+	reg.MergeRecorders(recs)
+	if got := reg.Snapshot().Sum("pub_total"); got != 9 {
+		t.Fatalf("pub_total = %d, want source 9", got)
+	}
+}
+
 func TestGauges(t *testing.T) {
 	reg := NewRegistry()
 	g := reg.Gauge("g_now", "current cycle", nil)
@@ -67,7 +103,7 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 	var nilProbe *RouterProbe
 	if n := testing.AllocsPerRun(1000, func() {
 		nilProbe.BufferWrite(0)
-		nilProbe.VAOp()
+		nilProbe.RC()
 		nilProbe.Event(EvRC, 1, 0, 1, -1, -1, 0)
 	}); n != 0 {
 		t.Fatalf("nil probe path allocates %.1f/op", n)
@@ -75,7 +111,8 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 
 	reg := NewRegistry()
 	rec := reg.NewRecorder(true)
-	probe := NewRouterProbe(rec, 0, []string{"N", "S", "E", "W", "L"})
+	var counts stats.Counters
+	probe := NewRouterProbe(rec, 0, []string{"N", "S", "E", "W", "L"}, &counts)
 	tr := NewTracer(reg, 64)
 	recs := []*Recorder{rec}
 	// Warm the staging slice and the ring once.
@@ -86,7 +123,8 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 	tr.Drain(recs)
 	if n := testing.AllocsPerRun(1000, func() {
 		probe.BufferWrite(2)
-		probe.SAOp()
+		probe.SADenials(1)
+		counts.SAOps++
 		probe.Event(EvSAGrant, 5, 0, 9, 0, 1, 2)
 		reg.MergeRecorders(recs)
 		tr.Drain(recs)

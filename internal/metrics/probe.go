@@ -1,15 +1,26 @@
 package metrics
 
-import "strconv"
+import (
+	"strconv"
+
+	"vichar/internal/stats"
+)
 
 // Probes are the instrumentation surface the simulator core calls on
 // its hot path. Every probe method is safe on a nil receiver and
 // returns immediately, so an un-instrumented run pays exactly one
 // nil check per call site; an instrumented run writes to the owning
 // shard's Recorder, never to shared state.
+//
+// An event the simulator already counts for its own results (a
+// router's stats.Counters, a link's flit and fault tallies) has no
+// probe: its series is registered with Recorder.CounterFrom and
+// published from that count at each merge. Probes record only what
+// those counts lack — per-port resolution, route computations,
+// allocator denials and the event trace.
 
 // RouterProbe instruments one router's pipeline stages with
-// per-port, per-stage counters and flit-lifecycle events.
+// per-port counters, per-stage denials and flit-lifecycle events.
 type RouterProbe struct {
 	rec *Recorder
 
@@ -18,20 +29,15 @@ type RouterProbe struct {
 	creditStall []CounterID // per output port
 	portStall   []CounterID // per input port (fault-model stalls)
 	rc          CounterID
-	vaOps       CounterID
-	vaGrants    CounterID
 	vaDenials   CounterID
-	saOps       CounterID
-	saGrants    CounterID
 	saDenials   CounterID
-	xbar        CounterID
-	reroutes    CounterID
 }
 
 // NewRouterProbe registers the router's counter series on rec.
 // portNames label the per-port series (index-aligned with the
-// router's port numbering).
-func NewRouterProbe(rec *Recorder, node int, portNames []string) *RouterProbe {
+// router's port numbering); the allocator, crossbar and reroute
+// series are published from c, the router's own activity counters.
+func NewRouterProbe(rec *Recorder, node int, portNames []string, c *stats.Counters) *RouterProbe {
 	r := strconv.Itoa(node)
 	p := &RouterProbe{rec: rec}
 	for _, pn := range portNames {
@@ -47,15 +53,15 @@ func NewRouterProbe(rec *Recorder, node int, portNames []string) *RouterProbe {
 	}
 	l := Labels{{"router", r}}
 	p.rc = rec.Counter("vichar_rc_total", "Head flits routed (route computation).", l)
-	p.vaOps = rec.Counter("vichar_va_ops_total", "VC allocator invocations.", l)
-	p.vaGrants = rec.Counter("vichar_va_grants_total", "Output VCs granted by the VC allocator.", l)
+	rec.CounterFrom("vichar_va_ops_total", "VC allocator invocations.", l, &c.VAOps)
+	rec.CounterFrom("vichar_va_grants_total", "Output VCs granted by the VC allocator.", l, &c.VCGrants)
 	p.vaDenials = rec.Counter("vichar_va_denials_total", "VC allocation requests denied this cycle.", l)
-	p.saOps = rec.Counter("vichar_sa_ops_total", "Switch allocator invocations.", l)
-	p.saGrants = rec.Counter("vichar_sa_grants_total", "Crossbar passages granted by the switch allocator.", l)
+	rec.CounterFrom("vichar_sa_ops_total", "Switch allocator invocations.", l, &c.SAOps)
+	rec.CounterFrom("vichar_sa_grants_total", "Crossbar passages granted by the switch allocator.", l, &c.XbarTraversals)
 	p.saDenials = rec.Counter("vichar_sa_denials_total", "Switch allocation requests denied this cycle.", l)
-	p.xbar = rec.Counter("vichar_xbar_traversals_total", "Flits through the crossbar.", l)
-	p.reroutes = rec.Counter("vichar_escape_reroutes_total",
-		"Packets re-channelled onto the escape network after the deadlock threshold.", l)
+	rec.CounterFrom("vichar_xbar_traversals_total", "Flits through the crossbar.", l, &c.XbarTraversals)
+	rec.CounterFrom("vichar_escape_reroutes_total",
+		"Packets re-channelled onto the escape network after the deadlock threshold.", l, &c.EscapeReroutes)
 	return p
 }
 
@@ -66,14 +72,6 @@ func (p *RouterProbe) PortStall(port int) {
 		return
 	}
 	p.rec.Inc(p.portStall[port])
-}
-
-// EscapeReroute records one packet re-channelled onto an escape VC.
-func (p *RouterProbe) EscapeReroute() {
-	if p == nil {
-		return
-	}
-	p.rec.Inc(p.reroutes)
 }
 
 // BufferWrite records a flit written into input port's buffer.
@@ -109,22 +107,6 @@ func (p *RouterProbe) RC() {
 	p.rec.Inc(p.rc)
 }
 
-// VAOp records one VC-allocator invocation.
-func (p *RouterProbe) VAOp() {
-	if p == nil {
-		return
-	}
-	p.rec.Inc(p.vaOps)
-}
-
-// VAGrant records one granted output VC.
-func (p *RouterProbe) VAGrant() {
-	if p == nil {
-		return
-	}
-	p.rec.Inc(p.vaGrants)
-}
-
 // VADenials records n VC requests that competed this cycle and lost.
 func (p *RouterProbe) VADenials(n int) {
 	if p == nil || n <= 0 {
@@ -133,36 +115,12 @@ func (p *RouterProbe) VADenials(n int) {
 	p.rec.Add(p.vaDenials, uint64(n))
 }
 
-// SAOp records one switch-allocator invocation.
-func (p *RouterProbe) SAOp() {
-	if p == nil {
-		return
-	}
-	p.rec.Inc(p.saOps)
-}
-
-// SAGrant records one granted crossbar passage.
-func (p *RouterProbe) SAGrant() {
-	if p == nil {
-		return
-	}
-	p.rec.Inc(p.saGrants)
-}
-
 // SADenials records n switch requests that competed this cycle and lost.
 func (p *RouterProbe) SADenials(n int) {
 	if p == nil || n <= 0 {
 		return
 	}
 	p.rec.Add(p.saDenials, uint64(n))
-}
-
-// Xbar records one flit through the crossbar.
-func (p *RouterProbe) Xbar() {
-	if p == nil {
-		return
-	}
-	p.rec.Inc(p.xbar)
 }
 
 // Event stages a flit-lifecycle event at this router (no-op when
@@ -219,96 +177,58 @@ func (p *NIProbe) CreditStall() {
 	p.rec.Inc(p.stalls)
 }
 
-// LinkProbe instruments one router-to-router flit link. It writes on
-// the receiving router's recorder, because link delivery executes in
-// the receiver's shard under the kernel's ownership plan.
+// LinkProbe traces flits over one router-to-router link. It stages
+// on the receiving router's recorder, because link delivery executes
+// in the receiver's shard under the kernel's ownership plan.
 type LinkProbe struct {
-	rec    *Recorder
-	node   int // receiving router
-	port   int // receiving input port
-	traced CounterID
+	rec  *Recorder
+	node int // receiving router
+	port int // receiving input port
 }
 
-// NewLinkProbe registers the link's utilization counter on the
-// receiver's recorder. from/to are router IDs; portName labels the
-// receiving input port.
-func NewLinkProbe(rec *Recorder, from, to, inPort int, portName string) *LinkProbe {
-	l := Labels{
-		{"from", strconv.Itoa(from)},
-		{"to", strconv.Itoa(to)},
-		{"port", portName},
-	}
-	return &LinkProbe{
-		rec:  rec,
-		node: to,
-		port: inPort,
-		traced: rec.Counter("vichar_link_flits_total",
-			"Flits delivered over each router-to-router link.", l),
-	}
+// NewLinkProbe registers the link's utilization series on the
+// receiver's recorder, published from flits, the network's own
+// per-link delivery count. from/to are router IDs; portName labels
+// the receiving input port.
+func NewLinkProbe(rec *Recorder, from, to, inPort int, portName string, flits *uint64) *LinkProbe {
+	rec.CounterFrom("vichar_link_flits_total",
+		"Flits delivered over each router-to-router link.", Labels{
+			{"from", strconv.Itoa(from)},
+			{"to", strconv.Itoa(to)},
+			{"port", portName},
+		}, flits)
+	return &LinkProbe{rec: rec, node: to, port: inPort}
 }
 
-// Deliver records one flit arriving over the link.
+// Deliver stages the event of one flit arriving over the link.
 func (p *LinkProbe) Deliver(cycle int64, packet uint64, flit, vc int) {
 	if p == nil {
 		return
 	}
-	p.rec.Inc(p.traced)
 	p.rec.StageEvent(Event{
 		Cycle: cycle, Kind: EvLink, Packet: packet, Flit: flit,
 		Node: p.node, Port: p.port, VC: vc,
 	})
 }
 
-// LinkFaultProbe instruments the fault model of one inter-router
-// link: drops, corruptions and retransmissions. Like LinkProbe it
-// writes on the receiving router's recorder (the link ticks in the
-// receiver's shard). Created only when Config.Faults is enabled, so
-// fault-free runs register no fault series.
-type LinkFaultProbe struct {
-	rec     *Recorder
-	dropped CounterID
-	corrupt CounterID
-	retrans CounterID
-}
-
-// NewLinkFaultProbe registers the link's fault counters on the
-// receiver's recorder. from/to are router IDs; portName labels the
-// sender's output port.
-func NewLinkFaultProbe(rec *Recorder, from, to int, portName string) *LinkFaultProbe {
+// PublishLinkFaults registers the fault-model series of one
+// inter-router link — drops, corruptions and retransmissions — on the
+// receiver's recorder (the link ticks in the receiver's shard),
+// published from the link's own fault tallies. Registered only when
+// Config.Faults is enabled, so fault-free runs carry no fault series.
+// from/to are router IDs; portName labels the sender's output port.
+func PublishLinkFaults(rec *Recorder, from, to int, portName string, drops, corrupts, retransmits *uint64) {
 	l := Labels{
 		{"from", strconv.Itoa(from)},
 		{"to", strconv.Itoa(to)},
 		{"port", portName},
 	}
-	return &LinkFaultProbe{
-		rec: rec,
-		dropped: rec.Counter("vichar_link_flits_dropped_total",
-			"Flits lost on a link by the fault model.", l),
-		corrupt: rec.Counter("vichar_link_flits_corrupted_total",
-			"Flits failing their CRC at the receiver under the fault model.", l),
-		retrans: rec.Counter("vichar_link_retransmits_total",
-			"Flits re-sent from a link's retransmission buffer.", l),
-	}
-}
-
-// Fault records one dropped (or, when corrupt, corrupted) flit.
-func (p *LinkFaultProbe) Fault(corrupt bool) {
-	if p == nil {
-		return
-	}
-	if corrupt {
-		p.rec.Inc(p.corrupt)
-		return
-	}
-	p.rec.Inc(p.dropped)
-}
-
-// Retransmit records one flit re-sent from the retransmission buffer.
-func (p *LinkFaultProbe) Retransmit() {
-	if p == nil {
-		return
-	}
-	p.rec.Inc(p.retrans)
+	rec.CounterFrom("vichar_link_flits_dropped_total",
+		"Flits lost on a link by the fault model.", l, drops)
+	rec.CounterFrom("vichar_link_flits_corrupted_total",
+		"Flits failing their CRC at the receiver under the fault model.", l, corrupts)
+	rec.CounterFrom("vichar_link_retransmits_total",
+		"Flits re-sent from a link's retransmission buffer.", l, retransmits)
 }
 
 // NetProbe instruments the network's serial phase: packet creation

@@ -26,29 +26,82 @@ func obsConfig() *config.Config {
 
 // The registry's cumulative totals must reconcile exactly with the
 // network's own accounting: the per-router stats.Counters sums and
-// the per-link traversal counts the power model is built on.
+// the per-link traversal and fault counts the power model is built
+// on. The faulted, minimal-adaptive ViChaR case drives the series a
+// fault-free XY run leaves at zero: escape reroutes, port stalls and
+// link drops, corruptions and retransmissions.
 func TestMetricsReconcileWithCounters(t *testing.T) {
-	cfg := obsConfig()
+	faulted := obsConfig()
+	faulted.Arch = config.ViChaR
+	faulted.Routing = config.MinimalAdaptive
+	faulted.InjectionRate = 0.4
+	faulted.DeadlockThreshold = 8
+	faulted.Faults = config.FaultsConfig{
+		Seed:        3,
+		DropRate:    0.005,
+		CorruptRate: 0.003,
+		StallRate:   0.002,
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  *config.Config
+	}{
+		{"generic-xy", obsConfig()},
+		{"vichar-adaptive-faults", faulted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkMetricsReconcile(t, tc.cfg)
+		})
+	}
+}
+
+func checkMetricsReconcile(t *testing.T, cfg *config.Config) {
+	t.Helper()
+	faulted := cfg.Faults.Enabled()
 	n := New(cfg)
 	defer n.Close()
 	res := n.Run()
 
 	s := n.Metrics().Snapshot()
 	total := n.totalCounters()
+	var faultTotal struct{ drops, corrupts, retransmits uint64 }
+	for _, fs := range n.faultLinks {
+		faultTotal.drops += fs.Drops
+		faultTotal.corrupts += fs.Corrupts
+		faultTotal.retransmits += fs.Retransmits
+	}
 	for _, c := range []struct {
-		name string
-		want uint64
+		name    string
+		want    uint64
+		nonzero bool // must be exercised by the faulted case
 	}{
-		{"vichar_buffer_writes_total", total.BufferWrites},
-		{"vichar_buffer_reads_total", total.BufferReads},
-		{"vichar_xbar_traversals_total", total.XbarTraversals},
-		{"vichar_link_flits_total", total.LinkTraversals},
-		{"vichar_va_ops_total", total.VAOps},
-		{"vichar_sa_ops_total", total.SAOps},
-		{"vichar_va_grants_total", total.VCGrants},
+		{"vichar_buffer_writes_total", total.BufferWrites, false},
+		{"vichar_buffer_reads_total", total.BufferReads, false},
+		{"vichar_xbar_traversals_total", total.XbarTraversals, false},
+		{"vichar_link_flits_total", total.LinkTraversals, false},
+		{"vichar_va_ops_total", total.VAOps, false},
+		{"vichar_sa_ops_total", total.SAOps, false},
+		{"vichar_va_grants_total", total.VCGrants, false},
+		{"vichar_sa_grants_total", total.XbarTraversals, false},
+		{"vichar_escape_reroutes_total", total.EscapeReroutes, true},
+		{"vichar_port_stall_cycles_total", total.StallCycles, true},
+		{"vichar_link_flits_dropped_total", faultTotal.drops, true},
+		{"vichar_link_flits_corrupted_total", faultTotal.corrupts, true},
+		{"vichar_link_retransmits_total", faultTotal.retransmits, true},
 	} {
 		if got := s.Sum(c.name); got != c.want {
 			t.Errorf("%s = %d, want %d (network accounting)", c.name, got, c.want)
+		}
+		if faulted && c.nonzero && c.want == 0 {
+			t.Errorf("%s is zero: the faulted case does not exercise it", c.name)
+		}
+	}
+	if faulted {
+		if total.FlitDrops != faultTotal.drops || total.FlitCorrupts != faultTotal.corrupts ||
+			total.Retransmits != faultTotal.retransmits {
+			t.Errorf("totalCounters fault tallies %d/%d/%d, want per-link sums %d/%d/%d",
+				total.FlitDrops, total.FlitCorrupts, total.Retransmits,
+				faultTotal.drops, faultTotal.corrupts, faultTotal.retransmits)
 		}
 	}
 	if got := s.Sum("vichar_packets_ejected_total"); got != uint64(res.EjectedPackets) {

@@ -56,7 +56,8 @@ type flitLink struct {
 	// invocation on stable memory. Exactly one shape is wired per link:
 	// an ejection link stages into *eject; every other link hands the
 	// flit to dst.ReceiveFlit(inPort, ...), bumping *count (the
-	// network's per-link flit counter) and the probe when attached.
+	// network's per-link flit counter, which the metrics registry
+	// publishes) and tracing through the probe when attached.
 	dst    *router.Router
 	inPort int
 	count  *uint64
@@ -75,10 +76,9 @@ type flitLink struct {
 
 	// faults is the link's fault-model state (retransmission buffer,
 	// scheduled drops); nil without Config.Faults, which keeps the
-	// fault-free tick path identical to the seed's. fprobe mirrors
-	// fault activity into the observability layer (nil-safe).
+	// fault-free tick path identical to the seed's. Its tallies feed
+	// the run's Counters and the metrics registry's fault series.
 	faults *faults.LinkState
-	fprobe *metrics.LinkFaultProbe
 }
 
 // SendFlit enqueues f for delivery delay cycles from now.
@@ -151,23 +151,20 @@ func (l *flitLink) tick(now int64) bool {
 func (l *flitLink) tickFaulty(now int64) {
 	s := l.faults
 	if s.HeldDue(now) {
-		l.fprobe.Retransmit()
-		if out := s.Attempt(now); out == faults.Deliver {
+		if s.Attempt(now) == faults.Deliver {
 			l.deliverFlit(s.Release(), now)
 		} else {
 			s.Rearm(now)
-			l.fprobe.Fault(out == faults.Corrupt)
 		}
 	}
 	for l.head < len(l.q) && l.q[l.head].at <= now && !s.Blocked() {
 		tf := l.q[l.head]
 		l.q[l.head] = timedFlit{}
 		l.head++
-		if out := s.Attempt(now); out == faults.Deliver {
+		if s.Attempt(now) == faults.Deliver {
 			l.deliverFlit(tf.f, now)
 		} else {
 			s.Hold(tf.f, now)
-			l.fprobe.Fault(out == faults.Corrupt)
 		}
 	}
 	if l.head == len(l.q) {
@@ -648,7 +645,7 @@ func New(cfg *config.Config) *Network {
 			portNames[p] = topology.PortName(p)
 		}
 		for id, r := range n.routers {
-			r.SetProbe(metrics.NewRouterProbe(o.recs[1+id], id, portNames))
+			r.SetProbe(metrics.NewRouterProbe(o.recs[1+id], id, portNames, &r.Counters))
 		}
 	}
 
@@ -733,11 +730,12 @@ func New(cfg *config.Config) *Network {
 				fl.faults = fs
 				n.faultLinks = append(n.faultLinks, fs)
 				if n.obs != nil {
-					fl.fprobe = metrics.NewLinkFaultProbe(n.obs.recs[1+nb], id, nb, topology.PortName(port))
+					metrics.PublishLinkFaults(n.obs.recs[1+nb], id, nb, topology.PortName(port),
+						&fs.Drops, &fs.Corrupts, &fs.Retransmits)
 				}
 			}
 			if n.obs != nil {
-				fl.lp = metrics.NewLinkProbe(n.obs.recs[1+nb], id, nb, inPort, topology.PortName(port))
+				fl.lp = metrics.NewLinkProbe(n.obs.recs[1+nb], id, nb, inPort, topology.PortName(port), fl.count)
 			}
 			n.plan[nb].flits = append(n.plan[nb].flits, fl)
 
@@ -1129,8 +1127,10 @@ func (n *Network) computeShard(shard int) {
 }
 
 // flushObs commits the observability layer: staged counter deltas
-// merge into the registry and staged events drain into the tracer,
-// both in fixed recorder index order, and the network-level gauges
+// merge into the registry, the series fed from the network's own
+// counts (router Counters, per-link flit and fault tallies) are
+// stored as absolute totals, staged events drain into the tracer —
+// all in fixed recorder index order — and the network-level gauges
 // refresh. Runs only on the serial side of the kernel — Step's sample
 // cadence and the end of Run/Drain — after the compute barrier, so
 // recorders are quiescent. A live scrape therefore lags the

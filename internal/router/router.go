@@ -80,10 +80,10 @@ type vcState struct {
 
 type inputPort struct {
 	buf buffers.Buffer
-	// ubs devirtualizes buf when it is a ViChaR unified buffer: the SA
-	// stage polls Ready on every active VC every cycle, and the direct
-	// (inlinable) call keeps that poll to one array load instead of an
-	// interface dispatch. nil for the fixed organizations.
+	// ubs is buf when it is a ViChaR unified buffer, nil for the fixed
+	// organizations: the SA scan masks its active VCs with the UBS
+	// readiness overlay (one inlined word load per 64 VCs) instead of
+	// polling Ready per VC through the interface.
 	ubs    *core.UBS
 	vc     []vcState
 	credit CreditSender
@@ -113,11 +113,10 @@ const outInfoShift = 16
 
 type outputPort struct {
 	view CreditView
-	// vichar devirtualizes view when it is a ViChaR dispenser view,
-	// for the same per-active-VC SA poll as inputPort.ubs; nil for
-	// other view kinds (including the ejection sink).
-	vichar *vicharView
-	conn   FlitSender
+	// alloc is view's per-VC allocation surface for the generic VA,
+	// bound at wiring time; nil for ViChaR dispenser views.
+	alloc perVCAllocator
+	conn  FlitSender
 }
 
 // Router is one 5-port pipelined NoC router.
@@ -133,9 +132,11 @@ type Router struct {
 
 	in  []inputPort
 	out []outputPort
-	// outVic[p] == out[p].vichar, as a flat pointer array: the SA scan
-	// indexes it per poll, and the 8-byte stride beats computing an
-	// offset into the wide outputPort records.
+	// outVic[p] is out[p].view when it is a ViChaR dispenser view, nil
+	// for other view kinds (including the ejection sink). The SA scan
+	// polls CanSendFlit on every requesting VC every cycle; the direct
+	// call inlines, and the flat pointer array's 8-byte stride beats
+	// computing an offset into the wide outputPort records.
 	outVic []*vicharView
 
 	maxVCs int
@@ -152,11 +153,14 @@ type Router struct {
 	saS2  []arbiter.RoundRobin // per output port, over input ports
 
 	// Counters accumulates activity events since construction; the
-	// network snapshots it around the measurement window.
+	// network snapshots it around the measurement window, and the
+	// metrics registry publishes its allocator, crossbar and reroute
+	// counts at each flush.
 	Counters stats.Counters
 
-	// probe mirrors Counters into the live metrics registry with
-	// per-port, per-stage resolution; nil (all calls no-ops) unless
+	// probe records what Counters lacks — per-port buffer, stall and
+	// credit-stall series, RC, allocator denials and the event trace —
+	// into the live metrics registry; nil (all calls no-ops) unless
 	// the network attached an observability layer.
 	probe *metrics.RouterProbe
 
@@ -307,8 +311,16 @@ func (r *Router) ID() int { return r.id }
 func (r *Router) ConnectOutput(p int, conn FlitSender, view CreditView) {
 	r.out[p].conn = conn
 	r.out[p].view = view
-	r.out[p].vichar, _ = view.(*vicharView)
-	r.outVic[p] = r.out[p].vichar
+	switch v := view.(type) {
+	case *vicharView:
+		r.outVic[p] = v
+	case perVCAllocator:
+		r.out[p].alloc = v
+	}
+	if r.cfg.Arch != config.ViChaR && r.out[p].alloc == nil {
+		//vichar:invariant non-ViChaR configurations always wire per-VC credit views; a mismatch is a construction bug
+		panic(fmt.Sprintf("router %d: %T cannot allocate per-VC", r.id, view))
+	}
 }
 
 // ConnectInputCredit wires input port p's upstream credit channel.
@@ -348,16 +360,7 @@ func (r *Router) ReceiveFlit(p int, f *flit.Flit, now int64) {
 }
 
 // ReceiveCredit applies an upstream-bound credit at output port p.
-func (r *Router) ReceiveCredit(p int, c flit.Credit) {
-	// Branch-devirtualized like the SA polls: one credit arrives per
-	// link per cycle at saturation, and the direct call skips the
-	// interface dispatch.
-	if o := &r.out[p]; o.vichar != nil {
-		o.vichar.OnCredit(c)
-	} else {
-		o.view.OnCredit(c)
-	}
-}
+func (r *Router) ReceiveCredit(p int, c flit.Credit) { r.out[p].view.OnCredit(c) }
 
 // Tick advances the router one cycle. Stages run in reverse pipeline
 // order (SA, then VA, then RC) so a flit progresses exactly one stage
@@ -466,16 +469,7 @@ func (r *Router) portFree(p, k, class int, escape bool) bool {
 		// no new packets (worms granted the link before it died keep
 		// draining — SA does not consult candidates).
 		ok := o.view != nil && (r.faults == nil || !r.faults.LinkDead(p))
-		if ok {
-			// Branch-devirtualized like the SA polls: the direct
-			// vicharView call inlines.
-			if o.vichar != nil {
-				ok = o.vichar.HasFreeVCIn(class, escape)
-			} else {
-				ok = o.view.HasFreeVCIn(class, escape)
-			}
-		}
-		if ok {
+		if ok && o.view.HasFreeVCIn(class, escape) {
 			r.vaFree[k] |= bit
 		}
 	}
@@ -489,12 +483,7 @@ func (r *Router) portSlots(p int) int {
 	bit := uint64(1) << uint(p)
 	if r.vaSlotsKnown&bit == 0 {
 		r.vaSlotsKnown |= bit
-		o := &r.out[p]
-		if o.vichar != nil {
-			r.vaSlots[p] = o.vichar.FreeSlots()
-		} else {
-			r.vaSlots[p] = o.view.FreeSlots()
-		}
+		r.vaSlots[p] = r.out[p].view.FreeSlots()
 	}
 	return r.vaSlots[p]
 }
@@ -560,7 +549,6 @@ func (r *Router) escapeCheck(now int64) {
 					//vichar:alloc rewrites the VC's cands scratch in place; RC already grew it to hold at least one port
 					st.cands = append(st.cands[:0], r.escapePort(st.pkt.Dst))
 					r.Counters.EscapeReroutes++
-					r.probe.EscapeReroute()
 				}
 			}
 		}
@@ -626,7 +614,6 @@ func (r *Router) tickVAViChaR(now int64) {
 			continue
 		}
 		r.Counters.VAOps++
-		r.probe.VAOp()
 		w := r.vaS1[ip].ArbitrateMask(req)
 		if w < 0 {
 			continue
@@ -662,13 +649,7 @@ func (r *Router) tickVAViChaR(now int64) {
 		n := noms[w]
 		win := &r.in[w]
 		st := &win.vc[n.invc]
-		var vc int
-		var ok bool
-		if o := &r.out[op]; o.vichar != nil {
-			vc, ok = o.vichar.AllocVCIn(int(st.pkt.Class), n.escape)
-		} else {
-			vc, ok = o.view.AllocVCIn(int(st.pkt.Class), n.escape)
-		}
+		vc, ok := r.out[op].view.AllocVCIn(int(st.pkt.Class), n.escape)
 		if !ok {
 			continue // availability changed within the cycle; retry next
 		}
@@ -680,10 +661,7 @@ func (r *Router) tickVAViChaR(now int64) {
 		win.outInfo[n.invc] = op<<outInfoShift | vc
 		r.Counters.VCGrants++
 		grants++
-		if r.probe != nil {
-			r.probe.VAGrant()
-			r.probe.Event(metrics.EvVAGrant, now, r.id, st.pkt.ID, -1, op, vc)
-		}
+		r.probe.Event(metrics.EvVAGrant, now, r.id, st.pkt.ID, -1, op, vc)
 	}
 	r.probe.VADenials(contenders - grants)
 }
@@ -732,12 +710,7 @@ func (r *Router) tickVAGeneric(now int64) {
 				if op < 0 {
 					continue
 				}
-				alloc, ok := r.out[op].view.(perVCAllocator)
-				if !ok {
-					//vichar:invariant non-ViChaR configurations always wire per-VC credit views; a mismatch is a construction bug
-					panic(fmt.Sprintf("router %d: %T cannot allocate per-VC", r.id, r.out[op].view))
-				}
-				ovc := alloc.GrantableVCIn(class, escape, v)
+				ovc := r.out[op].alloc.GrantableVCIn(class, escape, v)
 				if ovc < 0 {
 					continue
 				}
@@ -746,7 +719,6 @@ func (r *Router) tickVAGeneric(now int64) {
 				//vichar:alloc the nomination scratch is pre-sized to ports*maxVCs at construction; append never exceeds that capacity
 				flats = append(flats, flat)
 				r.Counters.VAOps++
-				r.probe.VAOp()
 			}
 		}
 	}
@@ -789,8 +761,7 @@ func (r *Router) tickVAGeneric(now int64) {
 		ip, v := w/r.maxVCs, w%r.maxVCs
 		win := &r.in[ip]
 		st := &win.vc[v]
-		alloc := r.out[op].view.(perVCAllocator)
-		alloc.ClaimVCIn(int(st.pkt.Class), ovc)
+		r.out[op].alloc.ClaimVCIn(int(st.pkt.Class), ovc)
 		st.state = vcActive
 		win.vaMask[v>>6] &^= 1 << (uint(v) & 63)
 		win.actMask[v>>6] |= 1 << (uint(v) & 63)
@@ -799,16 +770,21 @@ func (r *Router) tickVAGeneric(now int64) {
 		win.outInfo[v] = op<<outInfoShift | ovc
 		r.Counters.VCGrants++
 		grants++
-		if r.probe != nil {
-			r.probe.VAGrant()
-			r.probe.Event(metrics.EvVAGrant, now, r.id, st.pkt.ID, -1, op, ovc)
-		}
+		r.probe.Event(metrics.EvVAGrant, now, r.id, st.pkt.ID, -1, op, ovc)
 	}
 	r.probe.VADenials(len(flats) - grants)
 }
 
 // tickSA performs the two-stage switch allocation and moves winners
 // through the crossbar onto their links.
+//
+// Stage 1 requests come from one scan per input port over the VCs
+// that hold a granted route (actMask) and a readable head flit. A
+// unified buffer answers readiness for the whole port with its overlay
+// words (bit v set iff Ready(v, now)); the fixed organizations are
+// polled per VC. Downstream credit is checked through the flat
+// dispenser-view pointers where wired, both calls inlining; a ready VC
+// without credit is a credit stall.
 func (r *Router) tickSA(now int64) {
 	contenders, grants := 0, 0
 	req := r.reqWords[:r.maskW]
@@ -818,90 +794,46 @@ func (r *Router) tickSA(now int64) {
 			continue
 		}
 		in := &r.in[ip]
+		var rdy []uint64
+		if in.ubs != nil {
+			rdy = in.ubs.ReadyWords(now)
+		}
 		any := false
-		if r.probe == nil && in.ubs != nil {
-			// Uninstrumented ViChaR fast path: the unified buffer's
-			// readiness overlay collapses the whole-port head poll to
-			// one AND per 64 VCs, so the inner loop only visits VCs
-			// that both hold a granted route (actMask) and have a
-			// readable head flit — then checks downstream credit via
-			// the flat dispenser-view pointers and the packed outInfo
-			// route, all indexed loads with no dynamic dispatch.
-			rdy := in.ubs.ReadyWords(now)
-			for wi, wm := range in.actMask {
-				w := uint64(0)
-				for m := wm & rdy[wi]; m != 0; {
-					b := bits.TrailingZeros64(m)
-					m &^= 1 << uint(b)
-					info := in.outInfo[wi<<6+b]
-					ovc := info & (1<<outInfoShift - 1)
-					var ok bool
-					if ov := r.outVic[info>>outInfoShift]; ov != nil {
-						ok = ov.CanSendFlit(ovc)
-					} else {
-						ok = r.out[info>>outInfoShift].view.CanSendFlit(ovc)
-					}
-					if ok {
-						w |= 1 << uint(b)
-					}
-				}
-				req[wi] = w
-				any = any || w != 0
+		for wi, m := range in.actMask {
+			if rdy != nil {
+				m &= rdy[wi]
 			}
-		} else if r.probe == nil {
-			// Uninstrumented fast path for the fixed organizations:
-			// per-VC Ready polls through the buffer interface.
-			for wi, wm := range in.actMask {
-				w := uint64(0)
-				for m := wm; m != 0; {
-					b := bits.TrailingZeros64(m)
-					m &^= 1 << uint(b)
-					v := wi<<6 + b
-					ok := in.buf.Ready(v, now)
-					if ok {
-						info := in.outInfo[v]
-						ovc := info & (1<<outInfoShift - 1)
-						ok = r.out[info>>outInfoShift].view.CanSendFlit(ovc)
-					}
-					if ok {
-						w |= 1 << uint(b)
-					}
+			w := uint64(0)
+			for m != 0 {
+				b := bits.TrailingZeros64(m)
+				m &^= 1 << uint(b)
+				v := wi<<6 + b
+				if rdy == nil && !in.buf.Ready(v, now) {
+					continue
 				}
-				req[wi] = w
-				any = any || w != 0
-			}
-		} else {
-			for wi, wm := range in.actMask {
-				w := uint64(0)
-				for m := wm; m != 0; {
-					b := bits.TrailingZeros64(m)
-					m &^= 1 << uint(b)
-					v := wi<<6 + b
-					info := in.outInfo[v]
-					op := info >> outInfoShift
-					ovc := info & (1<<outInfoShift - 1)
-					var ready bool
-					if in.ubs != nil {
-						ready = in.ubs.Ready(v, now)
-					} else {
-						ready = in.buf.Ready(v, now)
-					}
-					if ready && r.out[op].view.CanSendFlit(ovc) {
-						w |= 1 << uint(b)
-						contenders++
-					} else if ready {
-						r.probe.CreditStall(op)
-					}
+				info := in.outInfo[v]
+				op := info >> outInfoShift
+				ovc := info & (1<<outInfoShift - 1)
+				var ok bool
+				if ov := r.outVic[op]; ov != nil {
+					ok = ov.CanSendFlit(ovc)
+				} else {
+					ok = r.out[op].view.CanSendFlit(ovc)
 				}
-				req[wi] = w
-				any = any || w != 0
+				if ok {
+					w |= 1 << uint(b)
+				} else {
+					r.probe.CreditStall(op)
+				}
 			}
+			req[wi] = w
+			contenders += bits.OnesCount64(w)
+			any = any || w != 0
 		}
 		if !any {
 			continue
 		}
 		r.Counters.SAOps++
-		r.probe.SAOp()
 		r.saNominee[ip] = r.saS1[ip].ArbitrateMask(req)
 	}
 	// Stage 2: one pass over the nominees builds each contested output
@@ -940,13 +872,7 @@ func (r *Router) tickSA(now int64) {
 func (r *Router) forward(ip, v, op int, now int64) {
 	in := &r.in[ip]
 	st := &in.vc[v]
-	var f *flit.Flit
-	var err error
-	if in.ubs != nil {
-		f, err = in.ubs.Pop(v, now)
-	} else {
-		f, err = in.buf.Pop(v, now)
-	}
+	f, err := in.buf.Pop(v, now)
 	if err != nil {
 		//vichar:invariant SA only nominates VCs with a readable front flit within the same cycle
 		panic(fmt.Sprintf("router %d: SA winner vanished: %v", r.id, err))
@@ -958,8 +884,6 @@ func (r *Router) forward(ip, v, op int, now int64) {
 	r.Counters.XbarTraversals++
 	if r.probe != nil {
 		r.probe.BufferRead(ip)
-		r.probe.Xbar()
-		r.probe.SAGrant()
 		r.probe.Event(metrics.EvSAGrant, now, r.id, f.Pkt.ID, f.Seq, op, st.outVC)
 	}
 
@@ -968,12 +892,9 @@ func (r *Router) forward(ip, v, op int, now int64) {
 	}
 
 	f.VC = st.outVC
-	if o := &r.out[op]; o.vichar != nil {
-		o.vichar.OnSend(f)
-	} else {
-		o.view.OnSend(f)
-	}
-	r.out[op].conn.SendFlit(f, now)
+	o := &r.out[op]
+	o.view.OnSend(f)
+	o.conn.SendFlit(f, now)
 
 	if f.IsTail() {
 		in.actMask[v>>6] &^= 1 << (uint(v) & 63)

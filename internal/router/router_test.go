@@ -207,7 +207,7 @@ func TestBackpressure(t *testing.T) {
 	// all 4 VCs).
 	view := h.r.OutputView(topology.East)
 	for i := 0; i < 4; i++ {
-		if _, ok := view.AllocVC(false); !ok {
+		if _, ok := view.AllocVCIn(0, false); !ok {
 			t.Fatal("setup alloc failed")
 		}
 	}
@@ -270,8 +270,8 @@ func TestEscapeAfterThreshold(t *testing.T) {
 	// Drain all normal tokens of both candidate outputs.
 	for _, p := range []int{topology.East, topology.South} {
 		view := h.r.OutputView(p)
-		for view.HasFreeVC(false) {
-			view.AllocVC(false)
+		for view.HasFreeVCIn(0, false) {
+			view.AllocVCIn(0, false)
 		}
 	}
 
@@ -321,7 +321,7 @@ func TestOccupancyProbes(t *testing.T) {
 	// Block East completely so the packet stays resident.
 	view := h.r.OutputView(topology.East)
 	for i := 0; i < 4; i++ {
-		view.AllocVC(false)
+		view.AllocVCIn(0, false)
 	}
 	h.runPacket(t, topology.West, 0, h.mesh.Node(5, 1), 1, 8)
 	if h.r.Occupied() != 4 {
@@ -397,8 +397,8 @@ func TestHeadOfLineBlocking(t *testing.T) {
 		h := newHarness(cfg, node)
 		// Saturate every East VC so packets bound East stall in VA.
 		east := h.r.OutputView(topology.East)
-		for east.HasFreeVC(false) {
-			east.AllocVC(false)
+		for east.HasFreeVCIn(0, false) {
+			east.AllocVCIn(0, false)
 		}
 		dstEast := h.mesh.Node(5, 1)
 		dstSouth := h.mesh.Node(1, 5)
@@ -442,7 +442,7 @@ func TestReceiveCredit(t *testing.T) {
 	node := topology.New(cfg.Width, cfg.Height).Node(1, 1)
 	h := newHarness(cfg, node)
 	view := h.r.OutputView(topology.East)
-	vc, _ := view.AllocVC(false)
+	vc, _ := view.AllocVCIn(0, false)
 	h.r.OutputView(topology.East).OnSend(headFlit(vc))
 	before := view.FreeSlots()
 	h.r.ReceiveCredit(topology.East, flit.Credit{VC: vc})
@@ -478,7 +478,7 @@ func TestAdaptiveCreditScoring(t *testing.T) {
 
 	// Congest East: burn most of its slot credits.
 	east := h.r.OutputView(topology.East)
-	vc, _ := east.AllocVC(false)
+	vc, _ := east.AllocVCIn(0, false)
 	for i := 0; i < 10; i++ {
 		f := headFlit(vc)
 		east.OnSend(f)

@@ -23,20 +23,17 @@ type CreditView interface {
 	OnSend(f *flit.Flit)
 	// OnCredit credits the view for a downstream departure.
 	OnCredit(c flit.Credit)
-	// HasFreeVC reports whether a VC of the given kind (escape or
-	// regular) could be granted to a new packet of class 0 this cycle.
-	HasFreeVC(escape bool) bool
-	// AllocVC grants a VC of the given kind to a new class-0 packet.
-	// The caller must route all the packet's flits onto the returned
-	// VC.
-	AllocVC(escape bool) (vc int, ok bool)
-	// HasFreeVCIn and AllocVCIn are the class-aware variants the VC
-	// allocator uses: each VC class (request, response) owns a disjoint
+	// HasFreeVCIn reports whether a VC of the given kind (escape or
+	// regular) could be granted to a new packet of the class this
+	// cycle. Each VC class (request, response) owns a disjoint
 	// contiguous chunk of the regular and escape VC ID ranges, so a
 	// grant for one class can never consume a channel the other class
-	// depends on. With one class (every non-transaction run) they are
-	// identical to HasFreeVC/AllocVC.
+	// depends on; with one class (every non-transaction run) the chunk
+	// is the whole range.
 	HasFreeVCIn(class int, escape bool) bool
+	// AllocVCIn grants a VC of the given kind to a new packet of the
+	// class. The caller must route all the packet's flits onto the
+	// returned VC.
 	AllocVCIn(class int, escape bool) (vc int, ok bool)
 	// FreeSlots returns the downstream slots currently available to
 	// new flits (summed over VCs for partitioned buffers); used by
@@ -126,7 +123,7 @@ type genericView struct {
 	escBase int    // first escape VC ID; len(credits) when no escape set
 	atomic  bool
 	classes int // VC classes partitioning both ID ranges (1 = unpartitioned)
-	rr      int // round-robin pointer for AllocVC
+	rr      int // round-robin pointer for AllocVCIn
 }
 
 func newGenericView(a *soa.Arena, vcs, depth, escape int, atomic bool, classes int) *genericView {
@@ -189,8 +186,6 @@ func (v *genericView) vcRange(class int, escape bool) (lo, hi int) {
 	return classSpan(0, v.escBase, v.classes, class)
 }
 
-func (v *genericView) HasFreeVC(escape bool) bool { return v.HasFreeVCIn(0, escape) }
-
 func (v *genericView) HasFreeVCIn(class int, escape bool) bool {
 	lo, hi := v.vcRange(class, escape)
 	for vc := lo; vc < hi; vc++ {
@@ -200,8 +195,6 @@ func (v *genericView) HasFreeVCIn(class int, escape bool) bool {
 	}
 	return false
 }
-
-func (v *genericView) AllocVC(escape bool) (int, bool) { return v.AllocVCIn(0, escape) }
 
 func (v *genericView) AllocVCIn(class int, escape bool) (int, bool) {
 	lo, hi := v.vcRange(class, escape)
@@ -220,13 +213,9 @@ func (v *genericView) AllocVCIn(class int, escape bool) (int, bool) {
 	return -1, false
 }
 
-// GrantableVC returns a grantable class-0 VC of the kind, scanning
-// round-robin from hint, without claiming it (generic VA stage 1).
-func (v *genericView) GrantableVC(escape bool, hint int) int {
-	return v.GrantableVCIn(0, escape, hint)
-}
-
-// GrantableVCIn is GrantableVC restricted to the class's VC chunk.
+// GrantableVCIn returns a grantable VC of the kind within the class's
+// chunk, scanning round-robin from hint, without claiming it (generic
+// VA stage 1).
 func (v *genericView) GrantableVCIn(class int, escape bool, hint int) int {
 	lo, hi := v.vcRange(class, escape)
 	n := hi - lo
@@ -245,17 +234,15 @@ func (v *genericView) GrantableVCIn(class int, escape bool, hint int) int {
 	return -1
 }
 
-// ClaimVC marks vc granted to a new packet (generic VA stage 2).
-func (v *genericView) ClaimVC(vc int) {
+// ClaimVCIn marks vc granted to a new packet (generic VA stage 2);
+// the class is implied by the VC's chunk.
+func (v *genericView) ClaimVCIn(class, vc int) {
 	if vc < 0 || vc >= len(v.open) || !v.grantable(vc) {
 		//vichar:invariant VA stage 2 claims only VCs stage 1 reported grantable within the same cycle
 		panic(fmt.Sprintf("router: claim of ungrantable vc %d", vc))
 	}
 	v.open[vc] = true
 }
-
-// ClaimVCIn is ClaimVC; the class is implied by the VC's chunk.
-func (v *genericView) ClaimVCIn(class, vc int) { v.ClaimVC(vc) }
 
 func (v *genericView) FreeSlots() int {
 	n := 0
@@ -371,8 +358,6 @@ func (v *sharedView) vcRange(class int, escape bool) (lo, hi int) {
 	return classSpan(0, v.escBase, v.classes, class)
 }
 
-func (v *sharedView) HasFreeVC(escape bool) bool { return v.HasFreeVCIn(0, escape) }
-
 func (v *sharedView) HasFreeVCIn(class int, escape bool) bool {
 	lo, hi := v.vcRange(class, escape)
 	for vc := lo; vc < hi; vc++ {
@@ -382,8 +367,6 @@ func (v *sharedView) HasFreeVCIn(class int, escape bool) bool {
 	}
 	return false
 }
-
-func (v *sharedView) AllocVC(escape bool) (int, bool) { return v.AllocVCIn(0, escape) }
 
 func (v *sharedView) AllocVCIn(class int, escape bool) (int, bool) {
 	lo, hi := v.vcRange(class, escape)
@@ -402,13 +385,8 @@ func (v *sharedView) AllocVCIn(class int, escape bool) (int, bool) {
 	return -1, false
 }
 
-// GrantableVC returns a grantable class-0 VC of the kind, scanning
-// round-robin from hint, without claiming it.
-func (v *sharedView) GrantableVC(escape bool, hint int) int {
-	return v.GrantableVCIn(0, escape, hint)
-}
-
-// GrantableVCIn is GrantableVC restricted to the class's VC chunk.
+// GrantableVCIn returns a grantable VC of the kind within the class's
+// chunk, scanning round-robin from hint, without claiming it.
 func (v *sharedView) GrantableVCIn(class int, escape bool, hint int) int {
 	lo, hi := v.vcRange(class, escape)
 	n := hi - lo
@@ -427,17 +405,15 @@ func (v *sharedView) GrantableVCIn(class int, escape bool, hint int) int {
 	return -1
 }
 
-// ClaimVC marks vc granted to a new packet.
-func (v *sharedView) ClaimVC(vc int) {
+// ClaimVCIn marks vc granted to a new packet; the class is implied by
+// the VC's chunk.
+func (v *sharedView) ClaimVCIn(class, vc int) {
 	if vc < 0 || vc >= len(v.open) || v.open[vc] {
 		//vichar:invariant VA stage 2 claims only VCs stage 1 reported grantable within the same cycle
 		panic(fmt.Sprintf("router: claim of ungrantable vc %d", vc))
 	}
 	v.open[vc] = true
 }
-
-// ClaimVCIn is ClaimVC; the class is implied by the VC's chunk.
-func (v *sharedView) ClaimVCIn(class, vc int) { v.ClaimVC(vc) }
 
 func (v *sharedView) FreeSlots() int { return v.sharedFree }
 
@@ -620,8 +596,6 @@ func (v *vicharView) tokenRange(class int, escape bool) (lo, hi int) {
 	return classSpan(0, v.escBase, v.classes, class)
 }
 
-func (v *vicharView) HasFreeVC(escape bool) bool { return v.HasFreeVCIn(0, escape) }
-
 func (v *vicharView) HasFreeVCIn(class int, escape bool) bool {
 	if !v.grantSlotFree(class) {
 		return false // no slot left to carry the token's reservation
@@ -630,10 +604,9 @@ func (v *vicharView) HasFreeVCIn(class int, escape bool) bool {
 	return v.dispenser.FreeIn(escape, lo, hi) > 0
 }
 
-// AllocVC grants the next token and moves one slot from the shared
-// pool (or the class's grant reserve) into the new VC's reservation.
-func (v *vicharView) AllocVC(escape bool) (int, bool) { return v.AllocVCIn(0, escape) }
-
+// AllocVCIn grants the class's next token and moves one slot from the
+// shared pool (or the class's grant reserve) into the new VC's
+// reservation.
 func (v *vicharView) AllocVCIn(class int, escape bool) (int, bool) {
 	if !v.grantSlotFree(class) {
 		return -1, false
@@ -708,9 +681,7 @@ func (v *sinkView) OnSend(f *flit.Flit) {
 	}
 }
 
-func (v *sinkView) OnCredit(c flit.Credit)          {}
-func (v *sinkView) HasFreeVC(escape bool) bool      { return v.HasFreeVCIn(0, escape) }
-func (v *sinkView) AllocVC(escape bool) (int, bool) { return v.AllocVCIn(0, escape) }
+func (v *sinkView) OnCredit(c flit.Credit) {}
 
 func (v *sinkView) HasFreeVCIn(class int, escape bool) bool {
 	return v.admit == nil || v.admit.Peek(class)
@@ -733,21 +704,15 @@ func (v *sinkView) OutstandingVCs() int { return v.outstanding }
 // consumes flits immediately and sends no credits back.
 func (v *sinkView) OutstandingFlits() int { return 0 }
 
-// GrantableVC always offers VC 0: the processing element consumes
-// flits of any number of interleaved packets.
-func (v *sinkView) GrantableVC(escape bool, hint int) int { return v.GrantableVCIn(0, escape, hint) }
-
-// GrantableVCIn offers VC 0 unless the admission gate refuses the
-// class this cycle.
+// GrantableVCIn offers VC 0 — the processing element consumes flits
+// of any number of interleaved packets — unless the admission gate
+// refuses the class this cycle.
 func (v *sinkView) GrantableVCIn(class int, escape bool, hint int) int {
 	if v.admit != nil && !v.admit.Peek(class) {
 		return -1
 	}
 	return 0
 }
-
-// ClaimVC is a no-op at the sink.
-func (v *sinkView) ClaimVC(vc int) {}
 
 // ClaimVCIn reserves the admission slot GrantableVCIn peeked.
 func (v *sinkView) ClaimVCIn(class, vc int) {
