@@ -41,13 +41,14 @@ alloc-check:
 # rejection and the mid-hold cut. Format v3 carries no dead state:
 # checkpoint bytes per idle router stay under a ceiling
 # (TestSnapshotBytesTrackLiveState), live-only control-table rings
-# round-trip across the ring wrap, and in-place RNG advance matches a
-# reseeded restore.
+# round-trip across the ring wrap, in-place RNG advance matches a
+# reseeded restore, and the traffic lookahead writes the per-cycle
+# draw counts and never carries a pre-drawn packet across a restore.
 snapshot-check:
 	$(GO) test . -run 'TestSnapshot|TestRestore|TestRunCheckpointed' -count=1
 	$(GO) test ./internal/network/ -run 'TestSnapshot' -count=1
 	$(GO) test ./internal/core/ -run 'TestUBSSaveLoadWrappedRings|TestTableLoadRejectsCorruptRegisters' -count=1
-	$(GO) test ./internal/rng/ ./internal/traffic/ -run 'TestAdvanceMatchesRestore|TestRepositionPaths|TestLoadStateStreamPaths|TestGeneratorStateRoundTrip' -count=1
+	$(GO) test ./internal/rng/ ./internal/traffic/ -run 'TestAdvanceMatchesRestore|TestRepositionPaths|TestLoadStateStreamPaths|TestGeneratorStateRoundTrip|TestLookahead' -count=1
 	$(GO) test ./internal/snap/ -count=1
 	$(GO) test ./experiments/ -run 'TestBranchSweep' -count=1
 

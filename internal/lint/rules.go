@@ -40,6 +40,8 @@ var deterministicPkgs = map[string]bool{
 	"metrics": true,
 	"faults":  true,
 	"txn":     true,
+	"traffic": true,
+	"rng":     true,
 }
 
 // Diagnostic is one rule violation. Pkg and Func key the finding for

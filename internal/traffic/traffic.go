@@ -29,7 +29,25 @@ type Generator struct {
 	onoff   []onOffState // used when cfg.Traffic == SelfSimilar
 	peak    float64      // ON-state injection rate, flits/cycle
 	hot     int          // hotspot destination node
+
+	// Uniform-random lookahead (see scan), derived state that is never
+	// checkpointed. For node i the trials of cycles first[i] ..
+	// next[i]-1 all failed and each took one generator step; the trial
+	// of cycle next[i] has been drawn too, with outcome hit[i]; base[i]
+	// is the stream's draw count before the scan.
+	next  []int64
+	hit   []bool
+	base  []uint64
+	first []int64
+	ahead bool  // the lookahead is valid; false after New and LoadState
+	now   int64 // cycle of the latest Tick
 }
+
+// scanHorizon caps how many cycles one lookahead scan draws. Without
+// it a tiny rate (Validate accepts 1e-9) would draw billions of
+// trials per node on the first tick; at the cap the scan simply stops
+// and resumes once the simulation reaches it.
+const scanHorizon = 1 << 12
 
 // onOffState is one Pareto ON/OFF source: ON periods inject at the
 // peak rate, OFF periods are silent; both durations are Pareto
@@ -74,7 +92,14 @@ func New(cfg *config.Config, mesh topology.Mesh) *Generator {
 	if cfg.Dest == config.Transpose && mesh.Width != mesh.Height {
 		panic(fmt.Sprintf("traffic: transpose needs a square mesh, got %dx%d", mesh.Width, mesh.Height))
 	}
-	if cfg.Traffic == config.SelfSimilar {
+	switch cfg.Traffic {
+	case config.UniformRandom:
+		n := mesh.Nodes()
+		g.next = make([]int64, n)
+		g.hit = make([]bool, n)
+		g.base = make([]uint64, n)
+		g.first = make([]int64, n)
+	case config.SelfSimilar:
 		if cfg.InjectionRate >= g.peak {
 			panic(fmt.Sprintf("traffic: self-similar rate %g must stay below the ON-peak %g", cfg.InjectionRate, g.peak))
 		}
@@ -87,6 +112,8 @@ func New(cfg *config.Config, mesh topology.Mesh) *Generator {
 			// cycles toward synchronized over-injection.
 			g.onoff[i] = onOffState{on: false, remaining: g.offPeriod(g.rngs[i])}
 		}
+	default:
+		panic(fmt.Sprintf("traffic: unknown process %v", cfg.Traffic))
 	}
 	return g
 }
@@ -142,10 +169,57 @@ func pareto(stream *rng.Stream, alpha, mean float64) int64 {
 // one per node per cycle). Destination never returns the source
 // itself, so every generated packet is emitted and each node's
 // measured injection rate matches the configured offered load.
+//
+// Ticks are expected on consecutive cycles. A uniform-random node
+// whose pre-drawn trial is due draws the packet's Destination and
+// PacketSize and then scans ahead to its next packet; every other
+// node draws nothing.
 func (g *Generator) Tick(now int64, emit func(src, dst, size int)) {
-	for node := 0; node < g.mesh.Nodes(); node++ {
-		if g.generates(node) {
+	if g.cfg.Traffic == config.SelfSimilar {
+		for node := range g.onoff {
+			if g.generates(node) {
+				emit(node, g.Destination(node), g.PacketSize(node))
+			}
+		}
+		return
+	}
+	if g.pktProb <= 0 {
+		return
+	}
+	if !g.ahead {
+		for node := range g.next {
+			g.scan(node, now)
+		}
+		g.ahead = true
+	}
+	g.now = now
+	for node, c := range g.next {
+		if c != now {
+			continue
+		}
+		if g.hit[node] {
 			emit(node, g.Destination(node), g.PacketSize(node))
+		}
+		g.scan(node, now+1)
+	}
+}
+
+// scan draws the node's Bernoulli trials for cycles first, first+1,
+// ... in one sequential pass over its stream: exactly the Float64
+// draws per-cycle ticking would make on those cycles, in the same
+// order. It stops at the first success, at a draw that took more than
+// one generator step (Float64's rare retry, which would break the
+// one-step-per-cycle count SaveState relies on), or at scanHorizon,
+// recording the stopping cycle in next and that draw's outcome in hit.
+func (g *Generator) scan(node int, first int64) {
+	stream, p := g.rngs[node], g.pktProb
+	base := stream.Draws()
+	g.base[node], g.first[node] = base, first
+	for c, d := first, base+1; ; c, d = c+1, d+1 {
+		f := stream.Float64()
+		if f < p || stream.Draws() != d || c-first == scanHorizon-1 {
+			g.next[node], g.hit[node] = c, f < p
+			return
 		}
 	}
 }
@@ -159,30 +233,25 @@ func (g *Generator) PacketSize(node int) int {
 	return g.cfg.PacketSize
 }
 
-// generates decides whether the node creates a packet this cycle.
+// generates decides whether the node's Pareto ON/OFF source creates a
+// packet this cycle: OFF periods draw nothing, ON cycles draw one trial
+// at the peak rate.
 func (g *Generator) generates(node int) bool {
 	stream := g.rngs[node]
-	switch g.cfg.Traffic {
-	case config.UniformRandom:
-		return g.pktProb > 0 && stream.Float64() < g.pktProb
-	case config.SelfSimilar:
-		st := &g.onoff[node]
-		for st.remaining <= 0 {
-			st.on = !st.on
-			if st.on {
-				st.remaining = pareto(stream, alphaOn, meanOn)
-			} else {
-				st.remaining = g.offPeriod(stream)
-			}
+	st := &g.onoff[node]
+	for st.remaining <= 0 {
+		st.on = !st.on
+		if st.on {
+			st.remaining = pareto(stream, alphaOn, meanOn)
+		} else {
+			st.remaining = g.offPeriod(stream)
 		}
-		st.remaining--
-		if !st.on {
-			return false
-		}
-		return stream.Float64() < g.peak/meanPacketSize(g.cfg)
-	default:
-		panic(fmt.Sprintf("traffic: unknown process %v", g.cfg.Traffic))
 	}
+	st.remaining--
+	if !st.on {
+		return false
+	}
+	return stream.Float64() < g.peak/meanPacketSize(g.cfg)
 }
 
 // Destination draws a destination for a packet created at src
@@ -229,6 +298,7 @@ func (g *Generator) Destination(src int) int {
 		}
 		return g.uniformOther(stream, src)
 	default:
+		//vichar:invariant Validate closes the destination-pattern enum before a generator is built
 		panic(fmt.Sprintf("traffic: unknown destination pattern %v", g.cfg.Dest))
 	}
 }
@@ -248,12 +318,19 @@ func (g *Generator) HotNode() int { return g.hot }
 
 // SaveState serializes the generator's mutable state: per-node stream
 // draw counts plus the ON/OFF source phases. Seeds are not stored —
-// they re-derive from the config at restore time.
+// they re-derive from the config at restore time. The uniform-random
+// lookahead is not stored either: a scanned node's count is the one
+// per-cycle drawing would have reached by the latest tick, which is
+// exact because every trial the scan drew before next took one step.
 func (g *Generator) SaveState(w *snap.Writer) {
 	w.Section("traffic")
 	w.Int(len(g.rngs))
-	for _, s := range g.rngs {
-		w.U64(s.Draws())
+	for i, s := range g.rngs {
+		d := s.Draws()
+		if g.ahead {
+			d = g.base[i] + uint64(g.now-g.first[i]+1)
+		}
+		w.U64(d)
 	}
 	w.Int(len(g.onoff))
 	for _, st := range g.onoff {
@@ -266,11 +343,14 @@ func (g *Generator) SaveState(w *snap.Writer) {
 // freshly constructed from the same structural configuration: each
 // node stream is fast-forwarded to its saved draw count — in place,
 // from the position construction left it at, unless construction
-// already drew past it (rng.Reposition).
+// already drew past it (rng.Reposition). The lookahead is dropped and
+// rebuilt by the next Tick at the generator's own rate, so a restore
+// under a different InjectionRate switches rate on that very cycle.
 func (g *Generator) LoadState(r *snap.Reader) error {
 	if err := r.Section("traffic"); err != nil {
 		return err
 	}
+	g.ahead = false
 	if n := r.Int(); n != len(g.rngs) {
 		return fmt.Errorf("traffic: snapshot has %d node streams, generator has %d", n, len(g.rngs))
 	}

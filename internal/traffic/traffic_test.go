@@ -1,6 +1,8 @@
 package traffic
 
 import (
+	"bytes"
+	"fmt"
 	"math"
 	"testing"
 	"vichar/internal/rng"
@@ -657,6 +659,226 @@ func TestLoadStateStreamPaths(t *testing.T) {
 					}
 				}
 			}
+		})
+	}
+}
+
+// bernoulliOracle is the per-cycle reference for the uniform-random
+// lookahead: every cycle it draws each node's trial Float64() < p and,
+// on success, the packet's Destination and PacketSize, in that order.
+// It draws through a Generator that is never ticked, so that
+// generator's SaveState writes the raw per-cycle draw counts.
+type bernoulliOracle struct {
+	g *Generator
+	p float64
+}
+
+func newBernoulliOracle(cfg *config.Config, mesh topology.Mesh) *bernoulliOracle {
+	g := New(cfg, mesh)
+	return &bernoulliOracle{g: g, p: g.pktProb}
+}
+
+func (o *bernoulliOracle) tick(emit func(src, dst, size int)) {
+	for node, s := range o.g.rngs {
+		if o.p > 0 && s.Float64() < o.p {
+			emit(node, o.g.Destination(node), o.g.PacketSize(node))
+		}
+	}
+}
+
+// trafficEvent is one packet creation: (cycle, src, dst, size).
+type trafficEvent [4]int64
+
+func saveBytes(g *Generator) []byte {
+	w := snap.NewWriter()
+	g.SaveState(w)
+	return w.Finish()
+}
+
+// TestLookaheadMatchesPerCycleOracle requires the lookahead generator
+// to emit exactly the per-cycle oracle's packet events and to write
+// the same checkpoint bytes at every 97th cycle, most of them cut in
+// the middle of a pre-drawn gap.
+func TestLookaheadMatchesPerCycleOracle(t *testing.T) {
+	const cycles = 20_000
+	for _, rate := range []float64{1e-4, 0.002, 0.35, 1.0} {
+		for _, dest := range []config.DestPattern{config.NormalRandom, config.Hotspot} {
+			for _, variable := range []bool{false, true} {
+				cfg := cfgWith(config.UniformRandom, dest, rate, 43)
+				if rate == 1.0 {
+					cfg.PacketSize = 1 // p = 1 with fixed sizes
+				}
+				if variable {
+					cfg.PacketSizeMax = cfg.PacketSize + 3
+				}
+				name := fmt.Sprintf("rate=%g/%v/variable=%v", rate, dest, variable)
+				t.Run(name, func(t *testing.T) {
+					mesh := topology.New(cfg.Width, cfg.Height)
+					g, o := New(cfg, mesh), newBernoulliOracle(cfg, mesh)
+					var got, want []trafficEvent
+					midGap := 0
+					for now := int64(1); now <= cycles; now++ {
+						g.Tick(now, func(src, dst, size int) {
+							got = append(got, trafficEvent{now, int64(src), int64(dst), int64(size)})
+						})
+						o.tick(func(src, dst, size int) {
+							want = append(want, trafficEvent{now, int64(src), int64(dst), int64(size)})
+						})
+						if now%97 != 0 {
+							continue
+						}
+						if a, b := saveBytes(g), saveBytes(o.g); !bytes.Equal(a, b) {
+							t.Fatalf("cycle %d: checkpoint differs from the per-cycle oracle's", now)
+						}
+						for node := range g.next {
+							if g.first[node] <= now && g.next[node] > now {
+								midGap++
+							}
+						}
+					}
+					if len(got) != len(want) {
+						t.Fatalf("%d events, oracle %d", len(got), len(want))
+					}
+					for i := range got {
+						if got[i] != want[i] {
+							t.Fatalf("event %d: %v, oracle %v", i, got[i], want[i])
+						}
+					}
+					if len(want) == 0 {
+						t.Fatal("oracle emitted nothing; the case checks no event")
+					}
+					if rate < 1 && midGap == 0 {
+						t.Fatal("no checkpoint cut a pre-drawn gap")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestLookaheadRestoreAtOtherRate loads a mid-gap checkpoint into a
+// generator built at another rate, which has itself ticked and so
+// holds a lookahead of its own: it must emit exactly what the
+// per-cycle oracle emits when its rate switches at the checkpoint
+// cycle, so no pre-drawn packet crosses a checkpoint either way.
+func TestLookaheadRestoreAtOtherRate(t *testing.T) {
+	const cut, end = 2_777, 8_000
+	for _, rates := range [][2]float64{{0.002, 0.2}, {0.2, 0.002}} {
+		t.Run(fmt.Sprintf("%g->%g", rates[0], rates[1]), func(t *testing.T) {
+			cfg := cfgWith(config.UniformRandom, config.Hotspot, rates[0], 47)
+			cfg.PacketSizeMax = cfg.PacketSize + 2
+			mesh := topology.New(cfg.Width, cfg.Height)
+			g, o := New(cfg, mesh), newBernoulliOracle(cfg, mesh)
+			for now := int64(1); now <= cut; now++ {
+				g.Tick(now, func(src, dst, size int) {})
+				o.tick(func(src, dst, size int) {})
+			}
+			midGap := 0
+			for node := range g.next {
+				if g.first[node] <= cut && g.next[node] > cut+1 {
+					midGap++
+				}
+			}
+			if midGap == 0 {
+				t.Fatal("the checkpoint cuts no pre-drawn gap")
+			}
+			blob := saveBytes(g)
+			if !bytes.Equal(blob, saveBytes(o.g)) {
+				t.Fatal("checkpoint differs from the per-cycle oracle's")
+			}
+
+			branch := *cfg
+			branch.InjectionRate = rates[1]
+			r, err := snap.Open(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g2 := New(&branch, mesh)
+			countPackets(g2, mesh, 1_000)
+			if err := g2.LoadState(r); err != nil {
+				t.Fatal(err)
+			}
+			o.p = g2.pktProb
+			events := 0
+			for now := int64(cut + 1); now <= end; now++ {
+				var a, b []trafficEvent
+				g2.Tick(now, func(src, dst, size int) {
+					a = append(a, trafficEvent{now, int64(src), int64(dst), int64(size)})
+				})
+				o.tick(func(src, dst, size int) {
+					b = append(b, trafficEvent{now, int64(src), int64(dst), int64(size)})
+				})
+				if len(a) != len(b) {
+					t.Fatalf("cycle %d: %d events, oracle %d", now, len(a), len(b))
+				}
+				for i := range a {
+					if a[i] != b[i] {
+						t.Fatalf("cycle %d event %d: %v, oracle %v", now, i, a[i], b[i])
+					}
+				}
+				events += len(a)
+			}
+			if events == 0 {
+				t.Fatal("the branch emitted nothing; the case checks no event")
+			}
+		})
+	}
+}
+
+// TestLookaheadTinyRateBounded pins the scan horizon: at a rate
+// Validate accepts but that almost never fires, 100 cycles of a 32x32
+// generator draw at most one horizon of trials per stream (about 4M
+// draws in all, tens of milliseconds) rather than billions. The bound
+// is on draws, not wall time, so it holds under the race detector and
+// on a loaded host.
+func TestLookaheadTinyRateBounded(t *testing.T) {
+	cfg := cfgWith(config.UniformRandom, config.NormalRandom, 1e-9, 53)
+	cfg.Width, cfg.Height = 32, 32
+	mesh := topology.New(cfg.Width, cfg.Height)
+	g := New(cfg, mesh)
+	total, _ := countPackets(g, mesh, 100)
+	if total != 0 {
+		t.Fatalf("rate 1e-9 emitted %d packets in 100 cycles", total)
+	}
+	for node, s := range g.rngs {
+		if s.Draws() > scanHorizon {
+			t.Fatalf("node %d drew %d trials ahead, horizon %d", node, s.Draws(), scanHorizon)
+		}
+	}
+}
+
+// BenchmarkGeneratorTick reports the traffic layer's cost per
+// simulated cycle (one Tick over every node) at steady state, on the
+// two uniform-random benchmark cells: a busy 8x8 mesh and a sparse
+// 32x32 one.
+func BenchmarkGeneratorTick(b *testing.B) {
+	cells := []struct {
+		name string
+		side int
+		rate float64
+	}{
+		{"8x8/rate=0.35", 8, 0.35},
+		{"32x32/rate=0.002", 32, 0.002},
+	}
+	for _, c := range cells {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := cfgWith(config.UniformRandom, config.NormalRandom, c.rate, 3)
+			cfg.Width, cfg.Height = c.side, c.side
+			mesh := topology.New(c.side, c.side)
+			g := New(cfg, mesh)
+			packets := 0
+			emit := func(src, dst, size int) { packets++ }
+			now := int64(0)
+			for ; now < 10_000; now++ {
+				g.Tick(now+1, emit)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now++
+				g.Tick(now, emit)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/cycle")
 		})
 	}
 }
